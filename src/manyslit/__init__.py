@@ -10,8 +10,7 @@ from __future__ import annotations
 from .correlations import (CorrelationValue, SignedCorrelation, central_peak,
                            classical_correlation, exclusive_classical,
                            grating_amplitude, quantum_correlation)
-from .errors import (DegenerateNormalizationError, EnumerationBudgetError,
-                     RecursionBudgetError)
+from .errors import DegenerateNormalizationError, EnumerationBudgetError
 from .hierarchy import (InterferenceValue, VanishingReport, curve,
                         interference, interference_oracle, vanishing_check)
 from .optics import (DetectorPhases, Geometry, SlitSet, phase_from_angle,
@@ -30,7 +29,6 @@ __all__ = [
     "classical_correlation", "exclusive_classical", "grating_amplitude",
     "quantum_correlation",
     "DegenerateNormalizationError", "EnumerationBudgetError",
-    "RecursionBudgetError",
     "InterferenceValue", "VanishingReport", "curve", "interference",
     "interference_oracle", "vanishing_check",
     "DetectorPhases", "Geometry", "SlitSet", "phase_from_angle",

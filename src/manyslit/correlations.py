@@ -5,9 +5,9 @@ which factorizes into a product of single-detector diffraction intensities.
 ``classical_correlation`` is its incoherent counterpart (independent
 particles, no which-path coherence), flat in the detector phases.  The
 *exclusive* classical term is the part of the classical signal owed to
-paths that use every slit of the subset at least once; it is defined by
-peeling the exclusive terms of all proper sub-combinations off the plain
-classical signal, and is what the interference hierarchy subtracts so that
+paths that use every slit of the subset at least once; by inclusion-exclusion
+it is the alternating sum of the plain classical signal over all
+sub-combinations, and is what the interference hierarchy subtracts so that
 classical many-particle combinatorics never masquerade as interference.
 """
 from __future__ import annotations
@@ -16,10 +16,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import RecursionBudgetError
+import numpy as np
+
+from .errors import EnumerationBudgetError
 from .optics import DetectorPhases, SlitSet
 
-DEFAULT_EXCLUSIVE_MAX_SLITS = 16
+DEFAULT_COMBINATION_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,40 +66,60 @@ def classical_correlation(slits: SlitSet, phases: DetectorPhases) -> Correlation
     return CorrelationValue(value=value, m=phases.m, slits=slits, phases=phases)
 
 
+def check_subset_budget(what: str, n: int, m: int, budget: int) -> None:
+    """Refuse an alternation over ``2**n - 1`` non-empty subsets above ``budget``.
+
+    Called before any per-subset array is built, so oversize requests fail
+    fast instead of allocating.
+    """
+    required = (1 << n) - 1
+    if required > budget:
+        raise EnumerationBudgetError(
+            f"{what} needs {required} subset evaluations, "
+            f"over the budget of {budget}",
+            n=n, m=m, required=required, budget=budget,
+        )
+
+
+def subset_sums(values: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over every subset of its last axis, indexed by bitmask.
+
+    Entry ``mask`` of the result adds ``values[..., i]`` for the set bits
+    ``i`` of ``mask`` in increasing ``i``, starting from zero, through the
+    recurrence ``out[mask | 1 << k] = out[mask] + values[k]`` for
+    ``mask < 1 << k`` (the zeta transform on the subset lattice).  Adding in
+    index order makes each entry bit-identical to a left-to-right sum.
+    """
+    n = values.shape[-1]
+    out = np.zeros(values.shape[:-1] + (1 << n,), dtype=values.dtype)
+    for k in range(n):
+        out[..., 1 << k:2 << k] = out[..., :1 << k] + values[..., k, None]
+    return out
+
+
+def alternation_signs(n: int) -> np.ndarray:
+    """``(-1) ** (n - |T|)`` for every subset ``T`` of ``n`` slits, by bitmask."""
+    sizes = subset_sums(np.ones(n, dtype=np.int64))
+    return np.where((n - sizes) % 2 == 0, 1.0, -1.0)
+
+
 def exclusive_classical(slits: SlitSet, phases: DetectorPhases, *,
-                        max_slits: int = DEFAULT_EXCLUSIVE_MAX_SLITS) -> SignedCorrelation:
+                        budget: int = DEFAULT_COMBINATION_BUDGET) -> SignedCorrelation:
     """Classical signal from paths using *every* slit of the subset.
 
-    Built bottom-up over subset bitmasks: the exclusive term of a subset is
-    its plain classical signal minus the exclusive terms of all proper
-    non-empty sub-combinations.  Runs over all ``3**N`` (mask, submask)
-    pairs, so ``max_slits`` caps the subset size.
+    Inclusion-exclusion over the ``2**N`` sub-combinations ``T``: the
+    alternating sum of ``(-1)**(N - |T|) (sum_{s in T} |w_s|**2) ** M``,
+    combined with compensated summation.  ``budget`` caps the number of
+    subsets, as it does for the interference term.
 
     For unit weights this counts the surjections of M detectors onto N
     slits, and is 0 whenever ``N > M``.
     """
-    n = len(slits)
-    if n > max_slits:
-        raise RecursionBudgetError(
-            f"exclusive classical term over {n} slits exceeds the cap of {max_slits}",
-            n=n, max_slits=max_slits,
-        )
-    m = phases.m
-    intensities = [abs(w) ** 2 for w in slits.weights]
-    full = (1 << n) - 1
-
-    # plain classical signal per mask, then peel sub-combinations off
-    exclusive = [0.0] * (full + 1)
-    for mask in range(1, full + 1):
-        plain = math.fsum(intensities[i] for i in range(n) if mask >> i & 1) ** m
-        parts = [plain]
-        sub = (mask - 1) & mask
-        while sub:
-            parts.append(-exclusive[sub])
-            sub = (sub - 1) & mask
-        exclusive[mask] = math.fsum(parts)
-
-    return SignedCorrelation(value=exclusive[full], order=n, m=m)
+    n, m = len(slits), phases.m
+    check_subset_budget(f"exclusive classical term over {n} slits", n, m, budget)
+    intensities = np.array([abs(w) ** 2 for w in slits.weights])
+    terms = alternation_signs(n) * subset_sums(intensities) ** m
+    return SignedCorrelation(value=math.fsum(terms), order=n, m=m)
 
 
 def central_peak(slits: SlitSet, m: int) -> CorrelationValue:

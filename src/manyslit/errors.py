@@ -17,14 +17,5 @@ class EnumerationBudgetError(ValueError):
         self.budget = budget
 
 
-class RecursionBudgetError(ValueError):
-    """The exclusive-order classical recursion was asked for too many slits."""
-
-    def __init__(self, message: str, *, n: int, max_slits: int):
-        super().__init__(message)
-        self.n = n
-        self.max_slits = max_slits
-
-
 class DegenerateNormalizationError(ValueError):
     """A normalization peak evaluated to zero, so the ratio is undefined."""

@@ -3,8 +3,9 @@
 The Nth-order M-particle interference term is what remains of an N-slit
 coincidence signal after removing everything attributable to fewer slits:
 alternating over the coincidence signals of all sub-gratings, then
-subtracting the exclusive classical term of the full slit set.  The same
-quantity is recomputed here by a brute-force reduction over path pairs
+subtracting the exclusive classical term of the full slit set.  One batched
+kernel evaluates that alternation for many detector-phase rows at once.  The
+same quantity is recomputed here by a brute-force reduction over path pairs
 (``interference_oracle``), which shares no code path with the subset route
 and serves as its independent check.
 
@@ -14,23 +15,26 @@ probes that over random detector phases.
 """
 from __future__ import annotations
 
-import itertools
+import cmath
 import math
+from itertools import chain, repeat
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import paths
-from .correlations import (DEFAULT_EXCLUSIVE_MAX_SLITS, central_peak,
-                           exclusive_classical, quantum_correlation)
-from .errors import EnumerationBudgetError
+from .correlations import (DEFAULT_COMBINATION_BUDGET, alternation_signs,
+                           central_peak, check_subset_budget,
+                           exclusive_classical, subset_sums)
 from .optics import (DetectorPhases, SlitSet, preset_fixed_scan,
                      preset_opposite_scan)
 
-DEFAULT_COMBINATION_BUDGET = 1 << 20
 DEFAULT_SEED = 12345
 _ORACLE_IMAG_TOL = 1e-10
+# Largest batch buffer in entries: the per-detector subset amplitudes of a
+# chunk of phase rows, and the phase draws of one vanishing-check chunk.
+_ENTRY_CAP = 1 << 13
 
 PRESETS = ("fixed_scan", "opposite_scan")
 
@@ -54,38 +58,62 @@ def _check_m(m: int, phases: DetectorPhases) -> None:
         raise ValueError(f"got {phases.m} detector phases for {m} particles")
 
 
+def _check_budget(m: int, n: int, budget: int) -> None:
+    check_subset_budget(f"order-{n} interference", n, m, budget)
+
+
+def _interference_rows(m: int, slits: SlitSet, rows: Sequence[Sequence[float]],
+                       budget: int = DEFAULT_COMBINATION_BUDGET) -> list[float]:
+    """Order-``len(slits)`` interference term at each row of detector phases.
+
+    Evaluates ``sum_T (-1)**(N - |T|) Q(T) - C`` over the subsets ``T``,
+    ``C`` being the exclusive classical term, for chunks of rows whose
+    per-detector subset amplitudes stay under ``_ENTRY_CAP`` entries.  Each
+    row repeats the arithmetic of ``quantum_correlation`` on every
+    sub-grating: legs ``w_s exp(i s delta)`` summed in slit order, ``hypot``
+    (what ``abs`` of a Python complex uses) squared by Python's float power,
+    and the product over detectors in order from 1.0.  Rows are combined
+    with compensated summation, since the cancellation is exact in the
+    vanishing regime and catastrophic for naive accumulation.  So every
+    value is bit-identical to the per-subset route, whatever the chunking.
+    Rows must hold Python floats: numpy scalars change the leg arithmetic.
+    """
+    n = len(slits)
+    _check_budget(m, n, budget)
+    if n == 1:
+        return [0.0] * len(rows)
+    classical = exclusive_classical(slits, DetectorPhases((0.0,) * m),
+                                    budget=budget).value
+    signs = alternation_signs(n)
+    legs = tuple(zip(slits.labels, slits.weights))
+    step = max(1, _ENTRY_CAP >> n)
+    out = []
+    for start in range(0, len(rows), step):
+        q = 1.0
+        for column in zip(*rows[start:start + step]):
+            amps = subset_sums(np.array(
+                [[w * cmath.exp(1j * s * delta) for s, w in legs] for delta in column]))
+            moduli = np.hypot(amps.real, amps.imag).ravel().tolist()
+            # numpy's square differs from Python's pow in the last bit for
+            # some inputs
+            q = q * np.fromiter(map(pow, moduli, repeat(2)), float,
+                                len(moduli)).reshape(amps.shape)
+        for terms in signs * q:
+            out.append(math.fsum(chain(terms, (-classical,))))
+    return out
+
+
 def interference(m: int, slits: SlitSet, phases: DetectorPhases, *,
-                 budget: int = DEFAULT_COMBINATION_BUDGET,
-                 max_slits: int = DEFAULT_EXCLUSIVE_MAX_SLITS) -> InterferenceValue:
+                 budget: int = DEFAULT_COMBINATION_BUDGET) -> InterferenceValue:
     """Interference term of order ``len(slits)`` via subset alternation.
 
-    The alternating subset contributions are collected and combined with
-    compensated summation, since the cancellation is exact in the vanishing
-    regime and catastrophic for naive accumulation.  A single slit supports
-    no interference at all, so order 1 returns exactly 0.0.
+    The single-row case of the batched kernel: alternating subset
+    contributions combined with compensated summation.  A single slit
+    supports no interference at all, so order 1 returns exactly 0.0.
     """
     _check_m(m, phases)
-    n = len(slits)
-    if n == 1:
-        return InterferenceValue(value=0.0, m=m, order=n, slits=slits,
-                                 phases=phases, method="subset_alternation")
-    subsets = (1 << n) - 1
-    if subsets > budget:
-        raise EnumerationBudgetError(
-            f"order-{n} interference needs {subsets} subset evaluations, "
-            f"over the budget of {budget}",
-            n=n, m=m, required=subsets, budget=budget,
-        )
-    # the classical term goes first so its slit cap trips before the loop
-    classical = exclusive_classical(slits, phases, max_slits=max_slits).value
-    terms = []
-    for size in range(n, 0, -1):
-        sign = -1.0 if (n - size) % 2 else 1.0
-        for combo in itertools.combinations(slits.labels, size):
-            sub = slits.subset(combo)
-            terms.append(sign * quantum_correlation(sub, phases).value)
-    terms.append(-classical)
-    return InterferenceValue(value=math.fsum(terms), m=m, order=n, slits=slits,
+    [value] = _interference_rows(m, slits, [phases.phases], budget)
+    return InterferenceValue(value=value, m=m, order=len(slits), slits=slits,
                              phases=phases, method="subset_alternation")
 
 
@@ -156,17 +184,22 @@ def vanishing_check(m: int, order: int, *, trials: int = 20,
     Residues are normalized by the all-detectors-on-peak coincidence rate so
     the threshold is scale free.  Passing means every draw stayed below the
     threshold; for gratings of fewer than ``2 m + 1`` slits the term is
-    genuinely nonzero and the check is expected to fail.
+    genuinely nonzero and the check is expected to fail.  Phases are drawn
+    in chunks of ``(rows, m)``, which yields the same stream as one draw per
+    trial, so memory stays flat in ``trials``.
     """
     if trials < 1:
         raise ValueError(f"trial count must be positive, got {trials}")
     slits = SlitSet.contiguous(order)
+    _check_budget(m, order, DEFAULT_COMBINATION_BUDGET)
     peak = central_peak(slits, m).value
     rng = np.random.default_rng(seed)
+    step = max(1, _ENTRY_CAP // m)
     max_abs = 0.0
-    for _ in range(trials):
-        phases = DetectorPhases(tuple(rng.uniform(0.0, 2.0 * math.pi, size=m)))
-        max_abs = max(max_abs, abs(interference(m, slits, phases).value))
+    for start in range(0, trials, step):
+        draws = rng.uniform(0.0, 2.0 * math.pi, size=(min(step, trials - start), m))
+        values = _interference_rows(m, slits, draws.tolist())
+        max_abs = max(max_abs, *map(abs, values))
     max_normalized = max_abs / peak
     return VanishingReport(
         m=m, order=order, trials=trials, seed=seed, peak=peak,
@@ -192,12 +225,13 @@ def curve(m: int, order: int, preset: str, deltas: Sequence[float], *,
     """Interference term along a scan of the last detector phase.
 
     Returns ``(delta, value)`` pairs; with ``normalize`` the values are
-    divided by the central-peak coincidence rate of the full grating.
+    divided by the central-peak coincidence rate of the full grating.  The
+    whole scan is one batch for the kernel.
     """
     slits = SlitSet.contiguous(order)
+    _check_budget(m, order, DEFAULT_COMBINATION_BUDGET)
     scale = central_peak(slits, m).value if normalize else 1.0
-    out = []
-    for delta in deltas:
-        phases = _preset_phases(preset, m, float(delta))
-        out.append((float(delta), interference(m, slits, phases).value / scale))
-    return out
+    deltas = [float(delta) for delta in deltas]
+    rows = [_preset_phases(preset, m, delta).phases for delta in deltas]
+    values = _interference_rows(m, slits, rows)
+    return [(delta, value / scale) for delta, value in zip(deltas, values)]

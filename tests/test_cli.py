@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import time
 
 import pytest
 
@@ -45,6 +46,15 @@ class TestCurveCommand:
                            "--preset", "opposite-scan", "--grid", "0:0:2")
         assert code == EXIT_USAGE
         assert "degenerate" in err
+
+    def test_grid_point_cap(self, capsys):
+        # refused before the grid list is built, so no time or memory is spent
+        started = time.perf_counter()
+        code, _, err = run(capsys, "curve", "--m", "1", "--n", "2",
+                           "--grid", "0:1:100000000")
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_USAGE
+        assert "cap" in err
 
     @pytest.mark.parametrize("grid", ["0:1", "a:b:c", "0:6.28:1", "inf:1:5"])
     def test_bad_grids(self, capsys, grid):
@@ -125,6 +135,12 @@ class TestVanishCommand:
         assert payload["passed"] is False
         assert payload["max_abs"] > 0.0
 
+    def test_seventeen_slits(self, capsys):
+        code, out, _ = run(capsys, "vanish", "--m", "8", "--n", "17",
+                           "--trials", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["passed"] is True
+
     def test_byte_identical_reports(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         args = ("vanish", "--m", "1", "--n", "3", "--trials", "5",
@@ -133,6 +149,25 @@ class TestVanishCommand:
         first = path.read_bytes()
         run(capsys, *args)
         assert path.read_bytes() == first
+
+
+class TestPinnedReports:
+    """Values printed before the batched kernel replaced the per-subset loop."""
+
+    @pytest.mark.parametrize("argv, key, want", [
+        (("sorkin", "--m", "3", "--trials", "100"),
+         "max_abs_kappa", "1.801690711612583e-16"),
+        (("sorkin", "--m", "7", "--trials", "2", "--seed", "99"),
+         "max_abs_kappa", "2.2910717840196974e-24"),
+        (("vanish", "--m", "4", "--n", "9", "--trials", "100"),
+         "max_abs", "1.5825247015599508e-10"),
+        (("vanish", "--m", "4", "--n", "9", "--trials", "100"),
+         "max_normalized", "3.6762955802369964e-18"),
+    ])
+    def test_exact_repr(self, capsys, argv, key, want):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert repr(json.loads(out)[key]) == want
 
 
 class TestSorkinCommand:
@@ -150,6 +185,20 @@ class TestSorkinCommand:
 
     def test_rejects_zero_trials(self, capsys):
         assert run(capsys, "sorkin", "--m", "1", "--trials", "0")[0] == EXIT_USAGE
+
+    def test_seventeen_slits(self, capsys):
+        code, out, _ = run(capsys, "sorkin", "--m", "8", "--trials", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["passed"] is True
+
+    def test_over_subset_budget_fails_fast(self, capsys):
+        # 2M + 1 = 21 slits need 2**21 - 1 subsets, over the 2**20 budget
+        started = time.perf_counter()
+        code, out, err = run(capsys, "sorkin", "--m", "10", "--trials", "1")
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "budget" in err
 
 
 class TestTableCommand:

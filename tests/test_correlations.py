@@ -12,7 +12,7 @@ import _brute
 from manyslit.correlations import (central_peak, classical_correlation,
                                    exclusive_classical, grating_amplitude,
                                    quantum_correlation)
-from manyslit.errors import RecursionBudgetError
+from manyslit.errors import EnumerationBudgetError
 from manyslit.optics import DetectorPhases, SlitSet
 from manyslit.paths import diagonal_sum, pair_sum
 
@@ -131,11 +131,15 @@ class TestExclusiveClassical:
         assert math.fsum(parts) == pytest.approx(
             classical_correlation(s, ph).value, rel=1e-12)
 
-    def test_slit_cap(self):
-        with pytest.raises(RecursionBudgetError) as err:
-            exclusive_classical(SlitSet.contiguous(5), phases_of(0.0), max_slits=4)
-        assert err.value.n == 5
-        assert err.value.max_slits == 4
+    def test_subset_budget(self):
+        # 21 slits need 2**21 - 1 subsets, over the default budget of 2**20
+        with pytest.raises(EnumerationBudgetError) as err:
+            exclusive_classical(SlitSet.contiguous(21), phases_of(0.0))
+        assert err.value.n == 21
+        assert err.value.required == (1 << 21) - 1
+        assert err.value.budget == 1 << 20
+        with pytest.raises(EnumerationBudgetError):
+            exclusive_classical(SlitSet.contiguous(5), phases_of(0.0), budget=30)
 
 
 class TestCentralPeak:

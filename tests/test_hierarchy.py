@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _brute
-from manyslit.correlations import central_peak
+from manyslit import correlations, hierarchy
+from manyslit.correlations import (central_peak, exclusive_classical,
+                                   quantum_correlation)
 from manyslit.errors import EnumerationBudgetError
 from manyslit.hierarchy import (curve, interference, interference_oracle,
                                 vanishing_check)
@@ -80,6 +86,81 @@ class TestInterference:
             got = interference(m, s, ph).value
             want = _brute.interference_pairs(s.labels, ph.phases)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def per_subset_reference(m, slits, phases):
+    """The loop the kernel replaced: one sub-grating at a time."""
+    n = len(slits)
+    if n == 1:
+        return 0.0
+    terms = []
+    for size in range(n, 0, -1):
+        sign = -1.0 if (n - size) % 2 else 1.0
+        for combo in itertools.combinations(slits.labels, size):
+            terms.append(sign * quantum_correlation(slits.subset(combo), phases).value)
+    terms.append(-exclusive_classical(slits, phases).value)
+    return math.fsum(terms)
+
+
+@st.composite
+def gratings(draw, max_slits=6):
+    n = draw(st.integers(1, max_slits))
+    labels = sorted(draw(st.sets(st.integers(0, 20), min_size=n, max_size=n)))
+    weights = [cmath.rect(draw(st.floats(0.2, 2.0)), draw(st.floats(-math.pi, math.pi)))
+               for _ in labels]
+    return SlitSet(tuple(labels), tuple(weights))
+
+
+phase_values = st.floats(-7.0, 7.0, allow_nan=False, allow_infinity=False)
+
+
+class TestKernel:
+    @given(gratings(), st.integers(1, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_pairs(self, slits, m, data):
+        rows = data.draw(st.lists(st.tuples(*[phase_values] * m), min_size=1, max_size=3))
+        weights = slits.weight_map()
+        # every |amplitude|**2 product is at most (sum |w|) ** (2 m)
+        peak = math.fsum(abs(w) for w in slits.weights) ** (2 * m)
+        got = hierarchy._interference_rows(m, slits, rows)
+        for row, value in zip(rows, got):
+            want = _brute.interference_pairs(slits.labels, row, weights)
+            assert abs(value - want) <= 1e-9 * peak
+
+    @given(gratings(max_slits=7), st.lists(phase_values, min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_per_subset_loop(self, slits, phase_list):
+        phases = DetectorPhases(tuple(phase_list))
+        m = phases.m
+        assert interference(m, slits, phases).value == \
+            per_subset_reference(m, slits, phases)
+
+    def test_batch_equals_rows_across_chunk_boundary(self, monkeypatch):
+        # 16 entries of 8 subsets each: two rows per chunk, seven rows
+        monkeypatch.setattr(hierarchy, "_ENTRY_CAP", 16)
+        slits = SlitSet((0, 2, 3), (1.0, 0.5 - 0.7j, 1.3j))
+        rng = np.random.default_rng(31)
+        rows = rng.uniform(-7.0, 7.0, size=(7, 2)).tolist()
+        batch = hierarchy._interference_rows(2, slits, rows)
+        single = [hierarchy._interference_rows(2, slits, [row])[0] for row in rows]
+        assert batch == single
+        assert len(set(batch)) == len(batch)
+
+    def test_budget_refused_before_any_subset_array(self, monkeypatch):
+        def fail(values):
+            raise AssertionError("a subset array was built")
+
+        monkeypatch.setattr(hierarchy, "subset_sums", fail)
+        monkeypatch.setattr(correlations, "subset_sums", fail)
+        wide = SlitSet.contiguous(21)
+        with pytest.raises(EnumerationBudgetError):
+            interference(1, wide, phases_of(0.3))
+        with pytest.raises(EnumerationBudgetError):
+            exclusive_classical(wide, phases_of(0.3))
+        with pytest.raises(EnumerationBudgetError):
+            vanishing_check(10, 21, trials=1)
+        with pytest.raises(EnumerationBudgetError):
+            curve(1, 21, "fixed_scan", [0.1, 0.2])
 
 
 class TestOracle:
@@ -157,6 +238,26 @@ class TestVanishingCheck:
     def test_needs_trials(self):
         with pytest.raises(ValueError):
             vanishing_check(1, 3, trials=0)
+
+    def test_chunked_draws_match_per_trial_draws(self, monkeypatch):
+        # a 4-entry cap draws two 2-detector trials at a time
+        monkeypatch.setattr(hierarchy, "_ENTRY_CAP", 4)
+        batches = []
+        kernel = hierarchy._interference_rows
+
+        def recording(m, slits, rows, *args):
+            batches.append(len(rows))
+            return kernel(m, slits, rows, *args)
+
+        monkeypatch.setattr(hierarchy, "_interference_rows", recording)
+        report = vanishing_check(2, 4, trials=7, seed=17)
+        assert batches == [2, 2, 2, 1]
+
+        rng = np.random.default_rng(17)
+        slits = SlitSet.contiguous(4)
+        want = max(abs(interference(2, slits, random_phases(rng, 2)).value)
+                   for _ in range(7))
+        assert report.max_abs == want
 
 
 class TestCurve:
