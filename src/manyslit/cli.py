@@ -18,6 +18,8 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .hierarchy import DEFAULT_SEED, curve, vanishing_check
 from .sorkin import (DEVIATION_LAWS, DEVIATION_VARIANTS, DeviationModel,
                      deviation_montecarlo, sensitivity_table)
@@ -143,8 +145,15 @@ def _write_text(path: str | None, text: str) -> None:
         raise _CliError(f"cannot write output: {exc}", EXIT_IO) from None
 
 
+_NOT_FINITE = ("the result is not a finite number: the inputs overflow "
+               "double precision")
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise _CliError(_NOT_FINITE, EXIT_USAGE) from None
 
 
 def _run_curve(args: argparse.Namespace, config: dict) -> int:
@@ -160,6 +169,8 @@ def _run_curve(args: argparse.Namespace, config: dict) -> int:
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_USAGE) from None
     if opts["format"] == "csv":
+        if not all(math.isfinite(v) for _, v in rows):
+            raise _CliError(_NOT_FINITE, EXIT_USAGE)
         lines = ["delta,value"]
         lines += [f"{d:.12g},{v:.12g}" for d, v in rows]
         _write_text(opts["output"], "\n".join(lines) + "\n")
@@ -328,7 +339,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             config["preset"] = config["preset"].replace("-", "_")
         if getattr(args, "preset", None) is not None:
             args.preset = args.preset.replace("-", "_")
-        return _RUNNERS[args.command](args, config)
+        # Overflow shows up as a non-finite result, refused at output with
+        # one line; numpy's warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            return _RUNNERS[args.command](args, config)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

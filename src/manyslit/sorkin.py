@@ -41,6 +41,11 @@ DEVIATION_VARIANTS = ("per_combination_iid", "exponent_epsilon")
 DEFAULT_MC_BUDGET = 1_000_000_000
 # Trial chunks are sized to keep the draw matrix around this many entries.
 _MC_ENTRY_CAP = 2_000_000
+# Each chunk is reduced in blocks of whole rows of about this many entries
+# (512 KB), so the working buffer stays in cache and is reused.
+_MC_BLOCK_ENTRIES = 1 << 16
+# A single trial row wider than this (M >= 13) is refused.
+_MC_ROW_CAP = 1 << 25
 
 # Validated-regime bounds; outside them reports carry a note, not an error.
 MIN_RMS_TRIALS = 1000
@@ -243,33 +248,57 @@ def _epsilon_kappa(m: int, epsilon: float) -> float:
 
 def _mc_rms(m: int, model: DeviationModel, trials: int, budget: int) -> float:
     n = 2 * m + 1
-    sizes = _subset_sizes(n)
-    if sizes.size * trials > budget:
+    width = (1 << n) - 1
+    # Both refusals come before any per-combination array is built.
+    if width * trials > budget:
         raise EnumerationBudgetError(
-            f"Monte-Carlo run needs {sizes.size * trials} deviation draws, "
+            f"Monte-Carlo run needs {width * trials} deviation draws, "
             f"over the budget of {budget}",
-            n=n, m=m, required=sizes.size * trials, budget=budget,
+            n=n, m=m, required=width * trials, budget=budget,
         )
+    if width > _MC_ROW_CAP:
+        raise EnumerationBudgetError(
+            f"one Monte-Carlo trial needs {width} deviation draws, over the "
+            f"per-trial cap of {_MC_ROW_CAP}",
+            n=n, m=m, required=width, budget=_MC_ROW_CAP,
+        )
+    sizes = _subset_sizes(n)
     signs = np.where((n - sizes) % 2 == 0, 1.0, -1.0)
     base = (sizes * sizes).astype(np.float64)
     peak = float(n) ** (2 * m)
 
-    chunk = max(1, _MC_ENTRY_CAP // sizes.size)
+    # Seed contract: chunk `index` holds `chunk` trials drawn from
+    # default_rng([seed, index]), so changing _MC_ENTRY_CAP changes every
+    # report.  The cache block is not part of it: the chunk's draws are taken
+    # in whole rows, in order, and each row is reduced on its own.
+    chunk = max(1, _MC_ENTRY_CAP // width)
+    rows = min(max(1, _MC_BLOCK_ENTRIES // width), chunk, trials)
+    buf = np.empty((rows, width))
+    kappas = np.empty(min(chunk, trials))
     total_sq = 0.0
     done = 0
     index = 0
     while done < trials:
         t = min(chunk, trials - done)
-        # Child seeds keyed by chunk index: reproducible for a given seed
-        # regardless of how many chunks the trial count splits into.
         rng = np.random.default_rng([model.seed, index])
-        if model.law == "uniform_symmetric":
-            draws = rng.uniform(-model.delta, model.delta, size=(t, sizes.size))
-        else:
-            draws = rng.normal(0.0, model.delta, size=(t, sizes.size))
-        values = (base[None, :] + draws) ** m
-        kappas = (values * signs[None, :]).sum(axis=1) / peak
-        total_sq += float(np.sum(kappas * kappas))
+        for lo in range(0, t, rows):
+            b = buf[:t - lo]
+            # uniform(-d, d) is -d + 2d * random(); normal(0, d) is
+            # d * standard_normal(), bit for bit
+            if model.law == "uniform_symmetric":
+                rng.random(out=b)
+                b *= 2.0 * model.delta
+                b += -model.delta
+            else:
+                rng.standard_normal(out=b)
+                b *= model.delta
+            np.add(base, b, out=b)
+            b **= m  # the operator's scalar fast paths, as for `** m`
+            np.multiply(b, signs, out=b)
+            b.sum(axis=1, out=kappas[lo:lo + len(b)])
+        k = kappas[:t]
+        k /= peak
+        total_sq += float(np.sum(k * k))
         done += t
         index += 1
     return math.sqrt(total_sq / trials)

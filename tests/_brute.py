@@ -11,6 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def amp(path, phases, weights):
     out = complex(1.0)
@@ -79,3 +81,35 @@ def c_exact(m):
 
 def ratio_exact(m):
     return (3.0 * m / (2 * m + 1)) * math.sqrt(float(c_exact(m)) / 7.0)
+
+
+def mc_rms_whole_chunk(m, delta, law, seed, trials, entry_cap=2_000_000):
+    """Monte-Carlo RMS of the central-point parameter, one array per chunk.
+
+    The reduction as it stood before it was streamed through a cache-sized
+    buffer: chunk ``index`` draws its ``(t, 2**n - 1)`` offsets in one call
+    from ``default_rng([seed, index])`` and reduces the whole matrix at once.
+    """
+    n = 2 * m + 1
+    sizes = np.repeat(np.arange(1, n + 1),
+                      [math.comb(n, k) for k in range(1, n + 1)])
+    signs = np.where((n - sizes) % 2 == 0, 1.0, -1.0)
+    base = (sizes * sizes).astype(np.float64)
+    peak = float(n) ** (2 * m)
+    chunk = max(1, entry_cap // sizes.size)
+    total_sq = 0.0
+    done = 0
+    index = 0
+    while done < trials:
+        t = min(chunk, trials - done)
+        rng = np.random.default_rng([seed, index])
+        if law == "uniform_symmetric":
+            draws = rng.uniform(-delta, delta, size=(t, sizes.size))
+        else:
+            draws = rng.normal(0.0, delta, size=(t, sizes.size))
+        values = (base[None, :] + draws) ** m
+        kappas = (values * signs[None, :]).sum(axis=1) / peak
+        total_sq += float(np.sum(kappas * kappas))
+        done += t
+        index += 1
+    return math.sqrt(total_sq / trials)

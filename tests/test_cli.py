@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import pathlib
 import time
+import warnings
 
 import pytest
 
@@ -265,6 +267,40 @@ class TestMonteCarloCommand:
     def test_bad_law(self, capsys):
         assert run(capsys, "montecarlo", "--m", "1", "--law", "poisson")[0] \
             == EXIT_USAGE
+
+    @pytest.mark.parametrize("m", ["13", "20", "31"])
+    def test_oversize_refused_before_allocating(self, capsys, monkeypatch, m):
+        # M = 13 passes the draw budget at one trial but not the row cap
+        def fail(n):
+            raise AssertionError("per-combination array built before the refusal")
+
+        monkeypatch.setattr(importlib.import_module("manyslit.sorkin"),
+                            "_subset_sizes", fail)
+        code, out, err = run(capsys, "montecarlo", "--m", m, "--trials", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "budget" in err or "cap" in err
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--m", "400", "--n", "3", "--normalize", "--grid", "0:1:3"),
+        ("curve", "--m", "400", "--n", "3", "--normalize", "--grid", "0:1:3",
+         "--format", "json"),
+        ("vanish", "--m", "400", "--n", "3", "--trials", "2"),
+        ("montecarlo", "--m", "5", "--delta", "1e300", "--trials", "10"),
+    ])
+    def test_one_line_usage_error(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "finite" in err
+        assert "Traceback" not in err
+        assert caught == []
 
 
 class TestConfigFile:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
+from manyslit.cli import EXIT_OK, main
 from manyslit.errors import DegenerateNormalizationError, EnumerationBudgetError
 from manyslit.optics import DetectorPhases, SlitSet, preset_fixed_scan
-from manyslit.sorkin import (DeviationModel, SensitivityReport,
+from manyslit.sorkin import (DEVIATION_LAWS, DeviationModel, SensitivityReport,
                              deviation_linearized, deviation_montecarlo,
                              sensitivity_c, sensitivity_ratio,
                              sensitivity_table, sorkin, sorkin_with_deviations)
+
+# the package re-exports the function ``sorkin`` under the module's name
+sorkin_module = importlib.import_module("manyslit.sorkin")
 
 TABLE_TARGETS = (1.8, 2.9, 4.7, 7.3, 11.4, 17.7, 27.6, 42.7, 66.2, 102.5)
 
@@ -266,6 +273,65 @@ class TestMonteCarlo:
                 report.mc_rms * factor, rel=1e-12)
             assert report.mc_prediction_slit_peak == pytest.approx(
                 report.mc_prediction * factor, rel=1e-12)
+
+
+class TestStreamedReduction:
+    """The cache-blocked reduction against the whole-chunk one it replaced."""
+
+    @pytest.mark.parametrize("law", DEVIATION_LAWS)
+    @pytest.mark.parametrize("m, trials", [
+        (1, 20_001), (2, 5003), (3, 1001), (5, 1000), (9, 4),
+    ])
+    def test_matches_whole_chunk_reduction(self, law, m, trials):
+        # trial counts are no multiple of the block rows; at M = 5 and 9 the
+        # run spans two chunks
+        model = DeviationModel(delta=1e-3, law=law, seed=7)
+        want = _brute.mc_rms_whole_chunk(m, 1e-3, law, 7, trials)
+        assert deviation_montecarlo(m, model, trials).mc_rms == want
+
+    @pytest.mark.parametrize("law", DEVIATION_LAWS)
+    @pytest.mark.parametrize("m, trials", [
+        (1, 301), (2, 301), (3, 301), (5, 7), (9, 3),
+    ])
+    def test_small_blocks_across_chunk_boundaries(self, monkeypatch, law, m, trials):
+        monkeypatch.setattr(sorkin_module, "_MC_BLOCK_ENTRIES", 64)
+        monkeypatch.setattr(sorkin_module, "_MC_ENTRY_CAP", 1000)
+        model = DeviationModel(delta=1e-3, law=law, seed=8)
+        want = _brute.mc_rms_whole_chunk(m, 1e-3, law, 8, trials, entry_cap=1000)
+        assert deviation_montecarlo(m, model, trials).mc_rms == want
+
+    @pytest.mark.parametrize("argv, want", [
+        (("--m", "5", "--trials", "50000"), "6.26442869891555e-05"),
+        (("--m", "2", "--law", "gaussian", "--trials", "20000", "--seed", "11"),
+         "0.0001715939367614972"),
+        (("--m", "9", "--trials", "3", "--seed", "5"), "4.4996102032744674e-05"),
+    ])
+    def test_pinned_reports(self, capsys, argv, want):
+        # mc_rms as printed before the reduction was streamed
+        assert main(["montecarlo", *argv]) == EXIT_OK
+        assert repr(json.loads(capsys.readouterr().out)["mc_rms"]) == want
+
+    def test_memory_is_flat_in_trials(self):
+        def peak_bytes(trials):
+            tracemalloc.start()
+            try:
+                deviation_montecarlo(5, DeviationModel(delta=1e-3), trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(100)  # first-call set-up inside numpy is not the reduction's
+        small, large = peak_bytes(10_000), peak_bytes(50_000)
+        assert large < 4 * 2 ** 20
+        assert large <= small + 64 * 2 ** 10
+
+    def test_row_cap_refused_before_any_array(self, monkeypatch):
+        def fail(n):
+            raise AssertionError("per-combination array built before the refusal")
+
+        monkeypatch.setattr(sorkin_module, "_subset_sizes", fail)
+        with pytest.raises(EnumerationBudgetError, match="per-trial cap"):
+            deviation_montecarlo(13, DeviationModel(delta=1e-3), 1)
 
 
 class TestExponentVariant:
