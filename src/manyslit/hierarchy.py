@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, repeat
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,8 +70,10 @@ def _interference_rows(m: int, slits: SlitSet, rows: Sequence[Sequence[float]],
     per-detector subset amplitudes stay under ``_ENTRY_CAP`` entries.  Each
     row repeats the arithmetic of ``quantum_correlation`` on every
     sub-grating: legs ``w_s exp(i s delta)`` summed in slit order, ``hypot``
-    (what ``abs`` of a Python complex uses) squared by Python's float power,
-    and the product over detectors in order from 1.0.  Rows are combined
+    (what ``abs`` of a Python complex uses) squared by libm ``pow`` through
+    ``np.float_power`` with an array exponent (what Python's ``pow(x, 2)``
+    calls; neither ``np.square`` nor ``np.power`` rounds the same way), and
+    the product over detectors in order from 1.0.  Rows are combined
     with compensated summation, since the cancellation is exact in the
     vanishing regime and catastrophic for naive accumulation.  So every
     value is bit-identical to the per-subset route, whatever the chunking.
@@ -93,13 +94,19 @@ def _interference_rows(m: int, slits: SlitSet, rows: Sequence[Sequence[float]],
         for column in zip(*rows[start:start + step]):
             amps = subset_sums(np.array(
                 [[w * cmath.exp(1j * s * delta) for s, w in legs] for delta in column]))
-            moduli = np.hypot(amps.real, amps.imag).ravel().tolist()
-            # numpy's square differs from Python's pow in the last bit for
-            # some inputs
-            q = q * np.fromiter(map(pow, moduli, repeat(2)), float,
-                                len(moduli)).reshape(amps.shape)
-        for terms in signs * q:
-            out.append(math.fsum(chain(terms, (-classical,))))
+            moduli = np.hypot(amps.real, amps.imag)
+            # libm pow, as Python's pow(x, 2) calls it: x * x (np.square)
+            # differs in the last bit for some inputs, and np.power with an
+            # array exponent takes a SIMD path that differs too
+            with np.errstate(over="ignore"):
+                squares = np.float_power(moduli, np.full(moduli.shape, 2.0))
+            if (np.isinf(squares) & np.isfinite(moduli)).any():
+                # Python's pow raises here rather than return inf
+                raise OverflowError(34, "Numerical result out of range")
+            q = q * squares
+        for terms in (signs * q).tolist():
+            terms.append(-classical)
+            out.append(math.fsum(terms))
     return out
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -181,6 +180,8 @@ def pair_sum(slits: SlitSet, phases: DetectorPhases, *,
     if nworkers == 1:
         partials = [reduce_chunk(start) for start in starts]
     else:
+        # imported here: it pulls in logging, which no serial run needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             partials = list(pool.map(reduce_chunk, starts))
 

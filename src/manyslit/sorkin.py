@@ -196,10 +196,9 @@ def deviation_linearized(m: int, delta: float) -> float:
     return m * math.sqrt(sensitivity_c(m)) * delta / (2 * m + 1) ** 2
 
 
-def _subset_sizes(n: int) -> np.ndarray:
-    """Size of every non-empty slit combination, one entry per combination."""
-    return np.repeat(np.arange(1, n + 1),
-                     [math.comb(n, k) for k in range(1, n + 1)])
+def _per_combination(n: int, per_size: list[float]) -> np.ndarray:
+    """Spread one value per subset size 1..n over every combination of that size."""
+    return np.repeat(per_size, [math.comb(n, k) for k in range(1, n + 1)])
 
 
 def sorkin_with_deviations(m: int, deviations: Mapping[frozenset[int], float]) -> float:
@@ -262,9 +261,9 @@ def _mc_rms(m: int, model: DeviationModel, trials: int, budget: int) -> float:
             f"per-trial cap of {_MC_ROW_CAP}",
             n=n, m=m, required=width, budget=_MC_ROW_CAP,
         )
-    sizes = _subset_sizes(n)
-    signs = np.where((n - sizes) % 2 == 0, 1.0, -1.0)
-    base = (sizes * sizes).astype(np.float64)
+    sizes = range(1, n + 1)
+    signs = _per_combination(n, [-1.0 if (n - k) % 2 else 1.0 for k in sizes])
+    base = _per_combination(n, [float(k * k) for k in sizes])
     peak = float(n) ** (2 * m)
 
     # Seed contract: chunk `index` holds `chunk` trials drawn from

@@ -3,7 +3,10 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 import warnings
 
@@ -12,6 +15,9 @@ import pytest
 from manyslit.cli import (EXIT_ASSERTION, EXIT_IO, EXIT_OK, EXIT_USAGE, main)
 from manyslit.hierarchy import curve
 from manyslit.sorkin import sensitivity_table
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -165,6 +171,10 @@ class TestPinnedReports:
          "max_abs", "1.5825247015599508e-10"),
         (("vanish", "--m", "4", "--n", "9", "--trials", "100"),
          "max_normalized", "3.6762955802369964e-18"),
+        (("sorkin", "--m", "9", "--trials", "1"),
+         "max_abs_kappa", "4.363748588265956e-28"),
+        (("vanish", "--m", "8", "--n", "17", "--trials", "2", "--seed", "4"),
+         "max_abs", "1.9518603080862118e-06"),
     ])
     def test_exact_repr(self, capsys, argv, key, want):
         code, out, _ = run(capsys, *argv)
@@ -271,11 +281,11 @@ class TestMonteCarloCommand:
     @pytest.mark.parametrize("m", ["13", "20", "31"])
     def test_oversize_refused_before_allocating(self, capsys, monkeypatch, m):
         # M = 13 passes the draw budget at one trial but not the row cap
-        def fail(n):
+        def fail(n, per_size):
             raise AssertionError("per-combination array built before the refusal")
 
         monkeypatch.setattr(importlib.import_module("manyslit.sorkin"),
-                            "_subset_sizes", fail)
+                            "_per_combination", fail)
         code, out, err = run(capsys, "montecarlo", "--m", m, "--trials", "1")
         assert code == EXIT_USAGE
         assert out == ""
@@ -368,3 +378,15 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+def test_import_leaves_out_the_thread_pool():
+    # every CLI start pays for its imports; the pool is for pair_sum's
+    # multi-worker runs only, and concurrent.futures brings in logging
+    code = ("import sys, manyslit, manyslit.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

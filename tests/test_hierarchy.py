@@ -64,6 +64,12 @@ class TestInterference:
         with pytest.raises(ValueError, match="phases"):
             interference(2, SlitSet.contiguous(2), phases_of(0.0))
 
+    def test_squared_modulus_overflow_raises(self):
+        # Python's pow(x, 2) raised here; the ufunc must not turn it into inf
+        slits = SlitSet((0, 1, 2), (0.7e154,) * 3)
+        with pytest.raises(OverflowError, match="Numerical result out of range"):
+            interference(1, slits, phases_of(0.0))
+
     def test_combination_budget(self):
         with pytest.raises(EnumerationBudgetError):
             interference(1, SlitSet.contiguous(5), phases_of(0.1), budget=10)
@@ -134,6 +140,29 @@ class TestKernel:
         m = phases.m
         assert interference(m, slits, phases).value == \
             per_subset_reference(m, slits, phases)
+
+    def test_float_power_is_python_pow(self):
+        # the kernel squares moduli with np.float_power to get libm pow, as
+        # Python's pow(x, 2) does; a numpy build that routes it elsewhere
+        # would change the bits of every interference value
+        rng = np.random.default_rng(2718)
+        x = np.concatenate([
+            rng.uniform(0.0, 40.0, 100_000),
+            np.exp(rng.uniform(-745.0, 354.0, 100_000)),
+            [0.0, 5e-324, np.finfo(float).tiny],
+        ])
+        want = np.array([pow(v, 2) for v in x.tolist()])
+        assert np.count_nonzero(x * x != want) > 0
+        got = np.float_power(x, np.full(x.shape, 2.0))
+        assert np.array_equal(got, want)
+
+    def test_one_row_chunks_bit_identical_to_per_subset_loop(self):
+        # from N = 13 on a chunk holds a single row, as in the gates
+        slits = SlitSet.contiguous(13)
+        phases = phases_of(0.4, 2.1)
+        assert hierarchy._ENTRY_CAP >> len(slits) <= 1
+        assert interference(2, slits, phases).value == \
+            per_subset_reference(2, slits, phases)
 
     def test_batch_equals_rows_across_chunk_boundary(self, monkeypatch):
         # 16 entries of 8 subsets each: two rows per chunk, seven rows

@@ -325,11 +325,23 @@ class TestStreamedReduction:
         assert large < 4 * 2 ** 20
         assert large <= small + 64 * 2 ** 10
 
+    def test_per_combination_arrays_cost_one_row_each(self):
+        # signs, base and the one-row buffer; no int64 or temporary rows
+        row = ((1 << 21) - 1) * 8
+        deviation_montecarlo(3, DeviationModel(delta=1e-3), 10)
+        tracemalloc.start()
+        try:
+            deviation_montecarlo(10, DeviationModel(delta=1e-3), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * row + 2 ** 20
+
     def test_row_cap_refused_before_any_array(self, monkeypatch):
-        def fail(n):
+        def fail(n, per_size):
             raise AssertionError("per-combination array built before the refusal")
 
-        monkeypatch.setattr(sorkin_module, "_subset_sizes", fail)
+        monkeypatch.setattr(sorkin_module, "_per_combination", fail)
         with pytest.raises(EnumerationBudgetError, match="per-trial cap"):
             deviation_montecarlo(13, DeviationModel(delta=1e-3), 1)
 
