@@ -339,13 +339,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             config["preset"] = config["preset"].replace("-", "_")
         if getattr(args, "preset", None) is not None:
             args.preset = args.preset.replace("-", "_")
-        # Overflow shows up as a non-finite result, refused at output with
-        # one line; numpy's warnings would only repeat it.
+        # Overflow shows up as OverflowError or as a non-finite result, both
+        # refused with one line; numpy's warnings would only repeat it.
         with np.errstate(all="ignore"):
             return _RUNNERS[args.command](args, config)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except OverflowError:
+        print(_NOT_FINITE, file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_IO
 

@@ -53,10 +53,16 @@ def grating_amplitude(slits: SlitSet, delta: float) -> complex:
 
 
 def quantum_correlation(slits: SlitSet, phases: DetectorPhases) -> CorrelationValue:
-    """Coincidence rate: the product of ``|grating_amplitude|**2`` per detector."""
+    """Coincidence rate: the product of ``|grating_amplitude|**2`` per detector.
+
+    Raises ``OverflowError`` when the product leaves double precision, as
+    Python's ``**`` already does for one factor.
+    """
     value = 1.0
     for delta in phases:
         value *= abs(grating_amplitude(slits, delta)) ** 2
+    if not math.isfinite(value):
+        raise OverflowError(34, "Numerical result out of range")
     return CorrelationValue(value=value, m=phases.m, slits=slits, phases=phases)
 
 
@@ -113,12 +119,16 @@ def exclusive_classical(slits: SlitSet, phases: DetectorPhases, *,
     subsets, as it does for the interference term.
 
     For unit weights this counts the surjections of M detectors onto N
-    slits, and is 0 whenever ``N > M``.
+    slits, and is 0 whenever ``N > M``.  Raises ``OverflowError`` when a
+    term leaves double precision.
     """
     n, m = len(slits), phases.m
     check_subset_budget(f"exclusive classical term over {n} slits", n, m, budget)
     intensities = np.array([abs(w) ** 2 for w in slits.weights])
-    terms = alternation_signs(n) * subset_sums(intensities) ** m
+    with np.errstate(over="ignore"):
+        terms = alternation_signs(n) * subset_sums(intensities) ** m
+    if not np.isfinite(terms).all():
+        raise OverflowError(34, "Numerical result out of range")
     return SignedCorrelation(value=math.fsum(terms), order=n, m=m)
 
 

@@ -78,6 +78,15 @@ def _interference_rows(m: int, slits: SlitSet, rows: Sequence[Sequence[float]],
     vanishing regime and catastrophic for naive accumulation.  So every
     value is bit-identical to the per-subset route, whatever the chunking.
     Rows must hold Python floats: numpy scalars change the leg arithmetic.
+
+    Each distinct phase of a detector column is evaluated once per chunk
+    and its squares gathered back to the rows, so detectors parked on one
+    phase (the scan presets) cost one row per chunk; a column without
+    repeats needs no gather.  Equal phases give equal bits; the dict that
+    finds them also merges ``0.0`` with ``-0.0``, which only flips the
+    sign of zero parts of the legs and never changes a modulus.
+    A detector product that overflows raises ``OverflowError`` instead of
+    returning inf or nan.
     """
     n = len(slits)
     _check_budget(m, n, budget)
@@ -92,18 +101,22 @@ def _interference_rows(m: int, slits: SlitSet, rows: Sequence[Sequence[float]],
     for start in range(0, len(rows), step):
         q = 1.0
         for column in zip(*rows[start:start + step]):
+            slot = {}  # distinct phases in first-seen order, by row
+            where = [slot.setdefault(delta, len(slot)) for delta in column]
             amps = subset_sums(np.array(
-                [[w * cmath.exp(1j * s * delta) for s, w in legs] for delta in column]))
+                [[w * cmath.exp(1j * s * delta) for s, w in legs] for delta in slot]))
             moduli = np.hypot(amps.real, amps.imag)
             # libm pow, as Python's pow(x, 2) calls it: x * x (np.square)
             # differs in the last bit for some inputs, and np.power with an
             # array exponent takes a SIMD path that differs too
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 squares = np.float_power(moduli, np.full(moduli.shape, 2.0))
-            if (np.isinf(squares) & np.isfinite(moduli)).any():
-                # Python's pow raises here rather than return inf
-                raise OverflowError(34, "Numerical result out of range")
-            q = q * squares
+                if len(slot) < len(column):
+                    squares = squares[where]
+                q = q * squares
+        if not np.isfinite(q).all():
+            # Python's pow and quantum_correlation raise here too
+            raise OverflowError(34, "Numerical result out of range")
         for terms in (signs * q).tolist():
             terms.append(-classical)
             out.append(math.fsum(terms))

@@ -235,14 +235,34 @@ def _epsilon_kappa(m: int, epsilon: float) -> float:
     Every slit combination's central-point probability becomes
     ``k**(M (2+eps))``; the alternating sum then fails to cancel.  Normalized
     by the deviated full-grating peak, the way a measured parameter would be.
+
+    The sum cancels from terms of up to ``2**n`` down to roughly
+    ``eps (2M)! / n**(2M)``, beyond double precision from small M on, so it
+    is evaluated in ``decimal`` at ``2M log10(n) + n log10(2)`` digits, plus
+    ``-log10|eps|`` for small ``eps`` and 30 guard digits, each term as
+    ``exp(M (2+eps) ln(k/n))``.  ``eps = 0`` is Born's rule: exactly 0.0.
     """
+    if epsilon == 0.0:
+        return 0.0
+    # imported here: only this variant needs it, not every CLI start
+    import decimal
+
     n = 2 * m + 1
-    exponent = m * (2.0 + epsilon)
-    total = math.fsum(
-        (-1.0 if (n - k) % 2 else 1.0) * math.comb(n, k) * float(k) ** exponent
-        for k in range(1, n + 1)
-    )
-    return total / float(n) ** exponent
+    digits = (math.ceil(2 * m * math.log10(n) + n * math.log10(2)) + 30
+              + max(0, math.ceil(-math.log10(abs(epsilon)))))
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        exponent = m * (2 + decimal.Decimal(epsilon))
+        ln_n = decimal.Decimal(n).ln()
+        try:
+            total = sum((-1) ** (n - k) * math.comb(n, k)
+                        * (exponent * (decimal.Decimal(k).ln() - ln_n)).exp()
+                        for k in range(1, n + 1))
+        except decimal.Overflow:  # eps < -2 lifts k < n above the peak
+            total = decimal.Decimal("Infinity")
+    kappa = float(total)
+    if math.isinf(kappa):
+        raise OverflowError(34, "Numerical result out of range")
+    return kappa
 
 
 def _mc_rms(m: int, model: DeviationModel, trials: int, budget: int) -> float:

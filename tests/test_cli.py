@@ -313,6 +313,25 @@ class TestNonFiniteResults:
         assert caught == []
 
 
+class TestLibraryOverflow:
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--m", "400", "--n", "3", "--grid", "0:1:3"),
+        ("montecarlo", "--m", "3", "--variant", "exponent_epsilon",
+         "--epsilon=-1e10", "--trials", "1"),
+    ])
+    def test_overflow_error_is_one_line(self, capsys, argv):
+        # the library raises OverflowError; the CLI refuses it like any
+        # other non-finite result
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "finite" in err
+        assert caught == []
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -382,9 +401,10 @@ class TestParser:
 
 def test_import_leaves_out_the_thread_pool():
     # every CLI start pays for its imports; the pool is for pair_sum's
-    # multi-worker runs only, and concurrent.futures brings in logging
-    code = ("import sys, manyslit, manyslit.cli; "
-            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    # multi-worker runs only, and concurrent.futures brings in logging;
+    # decimal serves only the exponent variant
+    code = ("import sys, manyslit, manyslit.cli; print(sorted("
+            "{'concurrent.futures', 'logging', 'decimal'} & set(sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,28 @@ class TestInterference:
         slits = SlitSet((0, 1, 2), (0.7e154,) * 3)
         with pytest.raises(OverflowError, match="Numerical result out of range"):
             interference(1, slits, phases_of(0.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: interference(400, SlitSet.contiguous(3), phases_of(*[0.0] * 400)),
+        lambda: curve(400, 3, "fixed_scan", [0.0, 1.0]),
+        lambda: curve(400, 3, "fixed_scan", [0.0, 1.0], normalize=False),
+        lambda: vanishing_check(400, 3, trials=2),
+        lambda: central_peak(SlitSet.contiguous(3), 400),
+        # every detector product stays finite here; only 3**1000, a term of
+        # the classical sum, overflows
+        lambda: interference(1000, SlitSet.contiguous(3),
+                             phases_of(*[2 * math.pi / 3] * 1000)),
+        lambda: exclusive_classical(SlitSet.contiguous(3), phases_of(*[0.0] * 1000)),
+    ], ids=["interference", "curve", "curve-raw", "vanishing-check",
+            "central-peak", "interference-classical", "exclusive-classical"])
+    def test_product_overflow_raises_without_warning(self, call):
+        # inf or nan must not leave the library: an infinite peak would let
+        # the vanishing gate pass
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowError, match="Numerical result out of range"):
+                call()
+        assert caught == []
 
     def test_combination_budget(self):
         with pytest.raises(EnumerationBudgetError):
@@ -174,6 +197,46 @@ class TestKernel:
         single = [hierarchy._interference_rows(2, slits, [row])[0] for row in rows]
         assert batch == single
         assert len(set(batch)) == len(batch)
+
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 1.25, -2.5, 2 * math.pi])] * 3),
+                    min_size=1, max_size=9))
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_phases_batch_equals_rows(self, rows):
+        # few distinct phases, so columns repeat and 0.0 meets -0.0
+        slits = SlitSet((1, 4, 5), (0.8 + 0.3j, -1.1j, 0.6 - 0.9j))
+        batch = hierarchy._interference_rows(3, slits, rows)
+        single = [hierarchy._interference_rows(3, slits, [row])[0] for row in rows]
+        assert batch == single
+
+    def test_repeated_phases_across_chunk_boundary(self, monkeypatch):
+        # 24 entries of 8 subsets each: three rows per chunk, so the parked
+        # first column and the repeated scan phases span chunk boundaries
+        monkeypatch.setattr(hierarchy, "_ENTRY_CAP", 24)
+        slits = SlitSet((0, 2, 3), (1.0, 0.5 - 0.7j, 1.3j))
+        rows = [(0.0, 0.4), (-0.0, 0.4), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.4),
+                (-0.0, 2.9), (0.0, 2.9)]
+        batch = hierarchy._interference_rows(2, slits, rows)
+        for row, value in zip(rows, batch):
+            assert value == per_subset_reference(2, slits, DetectorPhases(row))
+        assert batch[0] == batch[1] == batch[4]
+        assert batch[2] == batch[3]
+        assert batch[5] == batch[6]
+
+    def test_parked_detectors_evaluated_once_per_chunk(self, monkeypatch):
+        # a fixed scan parks M - 1 detectors on one phase each: every chunk
+        # evaluates the scanning column's rows plus one row per parked column
+        evaluated = []
+        kernel_sums = hierarchy.subset_sums
+
+        def counting(values):
+            evaluated.append(values.shape[0])
+            return kernel_sums(values)
+
+        monkeypatch.setattr(hierarchy, "subset_sums", counting)
+        points = 1000
+        curve(3, 7, "fixed_scan", np.linspace(0.3, 6.58, points).tolist())
+        chunks = math.ceil(points / (hierarchy._ENTRY_CAP >> 7))
+        assert sum(evaluated) == points + 2 * chunks == 1032
 
     def test_budget_refused_before_any_subset_array(self, monkeypatch):
         def fail(values):

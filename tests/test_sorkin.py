@@ -378,6 +378,41 @@ class TestExponentVariant:
         model = DeviationModel(variant="exponent_epsilon", epsilon=0.0)
         assert deviation_montecarlo(1, model, 1).mc_rms == 0.0
 
+    # mpmath references at 400 digits; a double-precision sum misses the
+    # first one by a factor of 330
+    @pytest.mark.parametrize("m, epsilon, kappa", [
+        (15, 1e-3, 4.950992288419722e-16),
+        (9, 1e-9, 5.932949839260438e-17),
+        (5, 1e-12, 1.3143852811276752e-16),
+    ])
+    def test_pinned_exact_values(self, m, epsilon, kappa):
+        model = DeviationModel(variant="exponent_epsilon", epsilon=epsilon)
+        assert deviation_montecarlo(m, model, 1).mc_rms == kappa
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(m, epsilon):
+            n = 2 * m + 1
+            with mpmath.workdps(400):
+                exponent = m * (2 + mpmath.mpf(epsilon))
+                total = mpmath.fsum((-1) ** (n - k) * mpmath.binomial(n, k)
+                                    * mpmath.mpf(k) ** exponent
+                                    for k in range(1, n + 1))
+                return float(total / mpmath.mpf(n) ** exponent)
+
+        for m in (1, 2, 5, 9, 15, 31):
+            for epsilon in (1e-3, 1e-9, 1e-12, 1e-30, 1e-200, -1e-6, 0.5):
+                want = reference(m, epsilon)
+                got = sorkin_module._epsilon_kappa(m, epsilon)
+                assert abs(got - want) <= 1e-15 * abs(want), (m, epsilon)
+
+    def test_overflowing_parameter_raises(self):
+        # a large negative epsilon makes the small combinations dominate
+        # beyond double precision
+        with pytest.raises(OverflowError, match="Numerical result out of range"):
+            sorkin_module._epsilon_kappa(3, -1e10)
+
     def test_slit_peak_convention_uses_bent_exponent(self):
         epsilon = 1e-3
         model = DeviationModel(variant="exponent_epsilon", epsilon=epsilon)
