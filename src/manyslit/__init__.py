@@ -1,6 +1,6 @@
 """Many-particle interference hierarchies behind multi-slit gratings.
 
-Core objects: gratings and detector phases (`optics`), path enumeration and
+Core objects: gratings and detector phases (`optics`), path amplitudes and
 pair reductions (`paths`), coincidence signals (`correlations`), interference
 terms of every order with an independent brute-force cross-check
 (`hierarchy`), and Sorkin-parameter sensitivity tools (`sorkin`).
@@ -15,12 +15,10 @@ from .hierarchy import (InterferenceValue, VanishingReport, curve,
                         interference, interference_oracle, vanishing_check)
 from .optics import (DetectorPhases, Geometry, SlitSet, phase_from_angle,
                      preset_fixed_scan, preset_opposite_scan)
-from .paths import (MultiPath, PathPair, diagonal_sum, enumerate_paths,
-                    is_diagonal, joint_support, pair_sum, path_amplitude,
-                    path_count)
-from .sorkin import (DeviationModel, SensitivityReport, deviation_linearized,
-                     deviation_montecarlo, sensitivity_c, sensitivity_ratio,
-                     sensitivity_table, sorkin, sorkin_with_deviations)
+from .paths import diagonal_sum, pair_sum, path_count
+from .sorkin import (DeviationModel, SensitivityReport, deviation_montecarlo,
+                     sensitivity_c, sensitivity_ratio, sensitivity_table,
+                     sorkin)
 
 __version__ = "0.1.0"
 
@@ -33,10 +31,8 @@ __all__ = [
     "interference_oracle", "vanishing_check",
     "DetectorPhases", "Geometry", "SlitSet", "phase_from_angle",
     "preset_fixed_scan", "preset_opposite_scan",
-    "MultiPath", "PathPair", "diagonal_sum", "enumerate_paths", "is_diagonal",
-    "joint_support", "pair_sum", "path_amplitude", "path_count",
-    "DeviationModel", "SensitivityReport", "deviation_linearized",
-    "deviation_montecarlo", "sensitivity_c", "sensitivity_ratio",
-    "sensitivity_table", "sorkin", "sorkin_with_deviations",
+    "diagonal_sum", "pair_sum", "path_count",
+    "DeviationModel", "SensitivityReport", "deviation_montecarlo",
+    "sensitivity_c", "sensitivity_ratio", "sensitivity_table", "sorkin",
     "__version__",
 ]

@@ -265,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Many-particle interference hierarchies behind multi-slit "
                     "gratings: scan curves, vanishing checks, and Sorkin-"
                     "parameter sensitivity experiments.",
-        epilog="Thread count for pair reductions comes from the "
-               "MANYSLIT_THREADS environment variable (default 1).",
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,8 +26,7 @@ from . import paths
 from .correlations import (DEFAULT_COMBINATION_BUDGET, alternation_signs,
                            central_peak, check_subset_budget,
                            exclusive_classical, subset_sums)
-from .optics import (DetectorPhases, SlitSet, preset_fixed_scan,
-                     preset_opposite_scan)
+from .optics import DetectorPhases, SlitSet, preset_fixed_scan
 
 DEFAULT_SEED = 12345
 _ORACLE_IMAG_TOL = 1e-10
@@ -182,18 +181,7 @@ class VanishingReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "order": self.order,
-            "trials": self.trials,
-            "seed": self.seed,
-            "peak": self.peak,
-            "max_abs": self.max_abs,
-            "max_normalized": self.max_normalized,
-            "vanishing_expected": self.vanishing_expected,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def vanishing_check(m: int, order: int, *, trials: int = 20,
@@ -229,15 +217,21 @@ def vanishing_check(m: int, order: int, *, trials: int = 20,
     )
 
 
-def _preset_phases(preset: str, m: int, delta: float) -> DetectorPhases:
+def _preset_rows(preset: str, m: int, deltas: list[float]) -> list[tuple[float, ...]]:
+    """Kernel phase rows of a preset scan: the phases its ``DetectorPhases`` holds."""
     name = preset.replace("-", "_")
     if name == "fixed_scan":
-        return preset_fixed_scan(m, delta)
-    if name == "opposite_scan":
+        parked = preset_fixed_scan(m, 0.0).phases[:-1]
+        rows = [parked + (delta,) for delta in deltas]
+    elif name == "opposite_scan":
         if m != 2:
             raise ValueError("the opposite-scan preset needs exactly 2 detectors")
-        return preset_opposite_scan(delta)
-    raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
+        rows = [(delta, -delta) for delta in deltas]
+    else:
+        raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")
+    if not all(map(math.isfinite, deltas)):
+        raise ValueError("detector phases must be finite")
+    return rows
 
 
 def curve(m: int, order: int, preset: str, deltas: Sequence[float], *,
@@ -252,6 +246,5 @@ def curve(m: int, order: int, preset: str, deltas: Sequence[float], *,
     _check_budget(m, order, DEFAULT_COMBINATION_BUDGET)
     scale = central_peak(slits, m).value if normalize else 1.0
     deltas = [float(delta) for delta in deltas]
-    rows = [_preset_phases(preset, m, delta).phases for delta in deltas]
-    values = _interference_rows(m, slits, rows)
+    values = _interference_rows(m, slits, _preset_rows(preset, m, deltas))
     return [(delta, value / scale) for delta, value in zip(deltas, values)]

@@ -1,4 +1,4 @@
-"""Many-particle path enumeration, amplitudes, and path-pair reductions.
+"""Many-particle path amplitudes and path-pair reductions.
 
 A path assigns one source slit to each of the M detectors, so an N-slit
 grating offers ``N**M`` paths; its amplitude is the product of the per-leg
@@ -10,17 +10,14 @@ inclusion-exclusion route in ``hierarchy`` so each can check the other.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EnumerationBudgetError
 from .optics import DetectorPhases, SlitSet
-
-MultiPath = tuple[int, ...]
 
 DEFAULT_PATH_BUDGET = 10_000_000
 DEFAULT_PAIR_BUDGET = 1_000_000_000
@@ -31,13 +28,6 @@ THREADS_ENV = "MANYSLIT_THREADS"
 # Support filters pack slit membership into an int64 bitmask, one bit per
 # slit of the grating, so they only work for gratings this narrow.
 MAX_MASK_SLITS = 62
-
-
-class PathPair(NamedTuple):
-    """An ordered (ket, bra) pair of paths of equal length."""
-
-    ket: MultiPath
-    bra: MultiPath
 
 
 def path_count(slits: SlitSet, m: int) -> int:
@@ -55,42 +45,9 @@ def _check_budget(kind: str, slits: SlitSet, m: int, required: int, budget: int)
         )
 
 
-def enumerate_paths(slits: SlitSet, m: int, *,
-                    budget: int = DEFAULT_PATH_BUDGET) -> Iterator[MultiPath]:
-    """All slit assignments in lexicographic order (first detector slowest)."""
-    _check_budget("path", slits, m, path_count(slits, m), budget)
-    return iter(itertools.product(slits.labels, repeat=m))
-
-
-def path_amplitude(slits: SlitSet, path: MultiPath, phases: DetectorPhases) -> complex:
-    """Product of per-leg amplitudes ``w_s * exp(i s delta)`` along ``path``."""
-    if len(path) != phases.m:
-        raise ValueError(
-            f"path visits {len(path)} detectors but {phases.m} phases were given"
-        )
-    weights = slits.weight_map()
-    out = complex(1.0)
-    for s, delta in zip(path, phases):
-        try:
-            w = weights[s]
-        except KeyError:
-            raise ValueError(f"path uses label {s}, not a slit of this grating") from None
-        out *= w * complex(math.cos(s * delta), math.sin(s * delta))
-    return out
-
-
-def joint_support(pair: PathPair) -> frozenset[int]:
-    """The set of slits used by either member of the pair."""
-    return frozenset(pair.ket) | frozenset(pair.bra)
-
-
-def is_diagonal(pair: PathPair) -> bool:
-    return pair.ket == pair.bra
-
-
 def amplitude_table(slits: SlitSet, phases: DetectorPhases, *,
                     budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
-    """Amplitudes of every path, in ``enumerate_paths`` order."""
+    """Amplitudes of every path, in ``itertools.product(labels, repeat=m)`` order."""
     total = path_count(slits, phases.m)
     _check_budget("path", slits, phases.m, total, budget)
     labels = np.asarray(slits.labels, dtype=np.float64)
@@ -104,7 +61,10 @@ def amplitude_table(slits: SlitSet, phases: DetectorPhases, *,
 
 def support_table(slits: SlitSet, m: int, *,
                   budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
-    """Per-path slit-usage bitmasks (bit j = j-th slit of the grating used)."""
+    """Per-path slit-usage bitmasks (bit j = j-th slit of the grating used).
+
+    Paths come in the order of ``amplitude_table``.
+    """
     total = path_count(slits, m)
     _check_budget("path", slits, m, total, budget)
     if len(slits) > MAX_MASK_SLITS:

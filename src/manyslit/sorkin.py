@@ -20,10 +20,8 @@ and table outputs are closed forms independent of that convention.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -107,23 +105,7 @@ class SensitivityReport:
     notes: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "c_of_m": self.c_of_m,
-            "ratio": self.ratio,
-            "table_row": self.table_row,
-            "mc_rms": self.mc_rms,
-            "mc_prediction": self.mc_prediction,
-            "mc_rms_slit_peak": self.mc_rms_slit_peak,
-            "mc_prediction_slit_peak": self.mc_prediction_slit_peak,
-            "trials": self.trials,
-            "seed": self.seed,
-            "delta": self.delta,
-            "law": self.law,
-            "variant": self.variant,
-            "epsilon": self.epsilon,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
 
 def _check_m(m: int) -> int:
@@ -187,46 +169,9 @@ def sensitivity_table(m_max: int) -> list[SensitivityReport]:
     return rows
 
 
-def deviation_linearized(m: int, delta: float) -> float:
-    """First-order response ``M sqrt(C(M)) Delta / (2M+1)**2`` to a common deviation."""
-    m = _check_m(m)
-    delta = float(delta)
-    if not math.isfinite(delta) or delta < 0.0:
-        raise ValueError(f"deviation magnitude must be >= 0 and finite, got {delta!r}")
-    return m * math.sqrt(sensitivity_c(m)) * delta / (2 * m + 1) ** 2
-
-
 def _per_combination(n: int, per_size: list[float]) -> np.ndarray:
     """Spread one value per subset size 1..n over every combination of that size."""
     return np.repeat(per_size, [math.comb(n, k) for k in range(1, n + 1)])
-
-
-def sorkin_with_deviations(m: int, deviations: Mapping[frozenset[int], float]) -> float:
-    """Central-point Sorkin parameter with per-combination probability offsets.
-
-    Each non-empty combination ``X`` of the ``2M + 1`` slits contributes its
-    central coincidence probability ``(|X|**2 + Delta_X)**M`` to the
-    order-(2M+1) alternating sum; combinations absent from ``deviations``
-    carry no offset.  With all offsets zero this returns exactly 0.
-    """
-    m = _check_m(m)
-    n = 2 * m + 1
-    offsets = {frozenset(key): float(value) for key, value in deviations.items()}
-    for key in offsets:
-        if not key or not key.issubset(range(n)):
-            raise ValueError(
-                f"deviation key {set(key)!r} is not a non-empty subset of the "
-                f"{n} slit labels"
-            )
-    terms = []
-    labels = range(n)
-    for k in range(1, n + 1):
-        sign = -1.0 if (n - k) % 2 else 1.0
-        base = float(k * k)
-        for combo in itertools.combinations(labels, k):
-            delta = offsets.get(frozenset(combo), 0.0)
-            terms.append(sign * (base + delta) ** m)
-    return math.fsum(terms) / float(n) ** (2 * m)
 
 
 def _epsilon_kappa(m: int, epsilon: float) -> float:

@@ -113,3 +113,62 @@ def mc_rms_whole_chunk(m, delta, law, seed, trials, entry_cap=2_000_000):
         done += t
         index += 1
     return math.sqrt(total_sq / trials)
+
+
+def deviation_terms(m, deviations):
+    """Signed central-point terms of the order-(2M+1) alternating sum.
+
+    Each non-empty combination ``X`` of the ``2M + 1`` slits, taken size by
+    size in ``itertools.combinations`` order, contributes
+    ``(-1)**(n - |X|) (|X|**2 + Delta_X)**M``; combinations absent from
+    ``deviations`` (keyed by slit-label sets) carry no offset.
+    """
+    n = 2 * m + 1
+    offsets = {frozenset(key): float(value) for key, value in deviations.items()}
+    for key in offsets:
+        if not key or not key.issubset(range(n)):
+            raise ValueError(
+                f"deviation key {set(key)!r} is not a non-empty subset of the "
+                f"{n} slit labels"
+            )
+    terms = []
+    for k in range(1, n + 1):
+        sign = -1.0 if (n - k) % 2 else 1.0
+        for combo in itertools.combinations(range(n), k):
+            terms.append(sign * (k * k + offsets.get(frozenset(combo), 0.0)) ** m)
+    return terms
+
+
+def sorkin_with_deviations(m, deviations):
+    """Central-point Sorkin parameter with per-combination probability offsets.
+
+    The alternating sum of ``deviation_terms`` over the unit-weight peak
+    ``(2M + 1)**(2M)``; with no offsets it is exactly 0.
+    """
+    return math.fsum(deviation_terms(m, deviations)) / float(2 * m + 1) ** (2 * m)
+
+
+def glynn_top_order(labels, phases, weights):
+    """I(M, 2M) as a permanent, by Glynn's formula; returns (value, scale).
+
+    At N = 2M slits the interference term is the permanent of the N x N
+    matrix whose rows are ``x_j`` and ``conj(x_j)`` per detector, with
+    ``x_{j,s} = w_s exp(i s delta_j)``.  Glynn's formula sums over sign
+    vectors ``d`` with ``d_0 = 1``:
+    ``2**(1 - N) sum_d (prod_s d_s) prod_j |sum_s d_s x_{j,s}|**2``.
+    ``scale`` is the same sum over the terms' magnitudes.
+    """
+    n = len(labels)
+    if n != 2 * len(phases):
+        raise ValueError("Glynn's route covers the top order N = 2M only")
+    legs = [[weights[s] * cmath.exp(1j * s * delta) for s in labels]
+            for delta in phases]
+    terms = []
+    for rest in itertools.product((1, -1), repeat=n - 1):
+        signs = (1,) + rest
+        term = float(math.prod(signs))
+        for x in legs:
+            term *= abs(sum(d * v for d, v in zip(signs, x))) ** 2
+        terms.append(term)
+    norm = 2.0 ** (1 - n)
+    return norm * math.fsum(terms), norm * math.fsum(map(abs, terms))

@@ -302,6 +302,25 @@ class TestOracle:
             interference_oracle(2, SlitSet.contiguous(4), phases_of(0.0, 0.0), budget=10)
 
 
+class TestTopOrderPermanent:
+    """At N = 2M the term is a permanent; Glynn's formula is a third route."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_matches_glynn(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(3):
+            labels = sorted(rng.choice(30, size=2 * m, replace=False).tolist())
+            weights = [cmath.rect(r, t) for r, t in zip(
+                rng.uniform(0.5, 1.5, 2 * m).tolist(),
+                rng.uniform(-math.pi, math.pi, 2 * m).tolist())]
+            slits = SlitSet(tuple(labels), tuple(weights))
+            ph = random_phases(rng, m)
+            want, scale = _brute.glynn_top_order(slits.labels, ph.phases,
+                                                 slits.weight_map())
+            got = interference(m, slits, ph).value
+            assert abs(got - want) <= 1e-12 * scale
+
+
 class TestVanishingCheck:
     def test_fifth_order_passes(self):
         report = vanishing_check(2, 5, trials=50, seed=3)

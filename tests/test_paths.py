@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 import _brute
 from manyslit.errors import EnumerationBudgetError
 from manyslit.optics import DetectorPhases, SlitSet
-from manyslit.paths import (PathPair, amplitude_table, diagonal_sum,
-                            enumerate_paths, is_diagonal, joint_support,
-                            pair_sum, path_amplitude, path_count,
-                            support_table)
+from manyslit.paths import (amplitude_table, diagonal_sum, pair_sum,
+                            path_count, support_table)
 
 phase_floats = st.floats(-7.0, 7.0, allow_nan=False, allow_infinity=False)
 
@@ -23,25 +21,31 @@ def phases_of(*values):
 
 
 class TestEnumeration:
+    """Both path tables list paths as ``itertools.product(labels, repeat=m)``."""
+
     def test_two_slits_two_detectors(self):
-        assert list(enumerate_paths(SlitSet.contiguous(2), 2)) == [
-            (0, 0), (0, 1), (1, 0), (1, 1)]
+        # paths (0, 0), (0, 1), (1, 0), (1, 1)
+        assert support_table(SlitSet.contiguous(2), 2).tolist() == [
+            0b01, 0b11, 0b11, 0b10]
 
     def test_single_slit(self):
-        assert list(enumerate_paths(SlitSet.contiguous(1), 3)) == [(0, 0, 0)]
+        assert support_table(SlitSet.contiguous(1), 3).tolist() == [1]
+        table = amplitude_table(SlitSet.contiguous(1), phases_of(0.4, 1.1, 2.2))
+        assert table.shape == (1,)
 
     def test_three_slits_pair(self):
-        paths = list(enumerate_paths(SlitSet.contiguous(3), 2))
-        assert len(paths) == 9
-        assert len(set(paths)) == 9
-        assert paths == sorted(paths)  # lexicographic
+        # weights 1, 10, 100 at zero phase spell each path's labels in digits
+        s = SlitSet((0, 1, 2), (1.0, 10.0, 100.0))
+        table = amplitude_table(s, phases_of(0.0, 0.0))
+        assert table.real.tolist() == [1.0, 10.0, 100.0, 10.0, 100.0, 1000.0,
+                                       100.0, 1000.0, 10000.0]  # lexicographic
 
     def test_count(self):
         assert path_count(SlitSet.contiguous(5), 3) == 125
 
     def test_budget(self):
         with pytest.raises(EnumerationBudgetError) as err:
-            list(enumerate_paths(SlitSet.contiguous(3), 3, budget=10))
+            amplitude_table(SlitSet.contiguous(3), phases_of(0.0, 0.0, 0.0), budget=10)
         assert err.value.n == 3
         assert err.value.m == 3
         assert err.value.required == 27
@@ -49,55 +53,42 @@ class TestEnumeration:
 
 
 class TestAmplitude:
+    """Entries of ``amplitude_table``, in path order."""
+
     def test_zero_phases(self):
         s = SlitSet.contiguous(2)
-        assert path_amplitude(s, (0, 0), phases_of(0.0, 0.0)) == 1.0
+        assert amplitude_table(s, phases_of(0.0, 0.0)).tolist() == [1.0] * 4
 
     def test_half_turn(self):
         s = SlitSet.contiguous(2)
-        amp = path_amplitude(s, (1, 0), phases_of(math.pi, math.pi))
+        amp = amplitude_table(s, phases_of(math.pi, math.pi))[2]  # path (1, 0)
         assert amp == pytest.approx(-1.0)
 
     def test_two_quarter_turns(self):
         s = SlitSet.contiguous(2)
-        amp = path_amplitude(s, (1, 1), phases_of(math.pi / 2, math.pi / 2))
+        amp = amplitude_table(s, phases_of(math.pi / 2, math.pi / 2))[3]  # (1, 1)
         assert amp == pytest.approx(-1.0)
 
     def test_weights_multiply(self):
         s = SlitSet((0, 1), (0.5, 2.0))
-        assert path_amplitude(s, (1, 1), phases_of(0.0, 0.0)) == pytest.approx(4.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="phases"):
-            path_amplitude(SlitSet.contiguous(2), (0, 1), phases_of(0.0))
-
-    def test_unknown_label(self):
-        with pytest.raises(ValueError, match="label"):
-            path_amplitude(SlitSet.contiguous(2), (5,), phases_of(0.0))
+        assert amplitude_table(s, phases_of(0.0, 0.0))[3] == pytest.approx(4.0)
 
     def test_table_matches_scalar(self):
         s = SlitSet((0, 1, 3), (1.0, 0.7j, -0.3))
         ph = phases_of(0.4, 2.9)
         table = amplitude_table(s, ph)
-        for row, path in zip(table, enumerate_paths(s, 2)):
-            assert row == pytest.approx(path_amplitude(s, path, ph))
+        paths = list(_brute.all_paths(s.labels, 2))
+        assert len(table) == len(paths)
+        for row, path in zip(table, paths):
+            assert row == pytest.approx(_brute.amp(path, ph.phases, s.weight_map()))
 
 
 class TestPairs:
-    def test_joint_support(self):
-        assert joint_support(PathPair((0, 0), (0, 0))) == {0}
-        assert joint_support(PathPair((0, 1), (1, 0))) == {0, 1}
-        assert joint_support(PathPair((0, 1), (2, 2))) == {0, 1, 2}
-
-    def test_is_diagonal(self):
-        assert is_diagonal(PathPair((0, 1), (0, 1)))
-        assert not is_diagonal(PathPair((0, 1), (1, 0)))
-        assert not is_diagonal(PathPair((0, 0), (0, 1)))
-
     def test_support_table_bits(self):
         s = SlitSet((0, 2, 5))
         masks = support_table(s, 2)
-        paths = list(enumerate_paths(s, 2))
+        paths = list(_brute.all_paths(s.labels, 2))
+        assert len(masks) == len(paths)
         index = {label: i for i, label in enumerate(s.labels)}
         for mask, path in zip(masks, paths):
             expect = 0
@@ -163,6 +154,14 @@ class TestPairs:
         lone = pair_sum(s, ph, chunk_size=3, workers=1)
         pooled = pair_sum(s, ph, chunk_size=3, workers=4)
         assert pooled.real == pytest.approx(lone.real, rel=1e-12, abs=1e-12)
+
+    def test_worker_count_bit_identical(self):
+        # chunk partials are recombined in chunk order, whatever thread ran them
+        s = SlitSet((0, 2, 3, 7), (1.0, 0.6 - 0.8j, 1.3j, -0.4))
+        ph = phases_of(0.8, 2.7)
+        for chunk in (1, 3, 7):
+            lone = pair_sum(s, ph, chunk_size=chunk, workers=1)
+            assert pair_sum(s, ph, chunk_size=chunk, workers=4) == lone
 
     def test_thread_env_var(self, monkeypatch):
         monkeypatch.setenv("MANYSLIT_THREADS", "3")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -15,9 +16,8 @@ from manyslit.cli import EXIT_OK, main
 from manyslit.errors import DegenerateNormalizationError, EnumerationBudgetError
 from manyslit.optics import DetectorPhases, SlitSet, preset_fixed_scan
 from manyslit.sorkin import (DEVIATION_LAWS, DeviationModel, SensitivityReport,
-                             deviation_linearized, deviation_montecarlo,
-                             sensitivity_c, sensitivity_ratio,
-                             sensitivity_table, sorkin, sorkin_with_deviations)
+                             deviation_montecarlo, sensitivity_c,
+                             sensitivity_ratio, sensitivity_table, sorkin)
 
 # the package re-exports the function ``sorkin`` under the module's name
 sorkin_module = importlib.import_module("manyslit.sorkin")
@@ -123,54 +123,37 @@ class TestSensitivityTable:
         assert d["mc_rms"] is None
 
 
-class TestLinearized:
-    def test_zero_deviation(self):
-        assert deviation_linearized(1, 0.0) == 0.0
-
-    def test_single_particle_formula(self):
-        assert deviation_linearized(1, 0.01) == pytest.approx(
-            math.sqrt(7.0) * 0.01 / 9.0, rel=1e-14)
-
-    def test_ratio_independent_of_delta(self):
-        for delta in (1e-4, 1e-3, 1e-2):
-            r = deviation_linearized(2, delta) / deviation_linearized(1, delta)
-            assert r == pytest.approx(
-                deviation_linearized(2, 1.0) / deviation_linearized(1, 1.0),
-                rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            deviation_linearized(1, -0.1)
-
-
 class TestDeviationInjection:
+    """The single-trial reference in ``_brute`` that ``TestPerTrial`` uses."""
+
     def test_no_offsets_exact_zero(self):
-        assert sorkin_with_deviations(1, {}) == 0.0
-        assert sorkin_with_deviations(2, {}) == 0.0
+        assert _brute.sorkin_with_deviations(1, {}) == 0.0
+        assert _brute.sorkin_with_deviations(2, {}) == 0.0
 
     def test_single_slit_offset(self):
-        got = sorkin_with_deviations(1, {frozenset({0}): 0.01})
+        got = _brute.sorkin_with_deviations(1, {frozenset({0}): 0.01})
         assert got == pytest.approx(0.01 / 9.0, rel=1e-10)
 
     def test_pair_offset_carries_sign(self):
-        got = sorkin_with_deviations(1, {frozenset({0, 1}): 0.01})
+        got = _brute.sorkin_with_deviations(1, {frozenset({0, 1}): 0.01})
         assert got == pytest.approx(-0.01 / 9.0, rel=1e-10)
 
     def test_offsets_add_linearly(self):
-        a = sorkin_with_deviations(2, {frozenset({0}): 1e-3})
-        b = sorkin_with_deviations(2, {frozenset({1, 2}): 1e-3})
-        both = sorkin_with_deviations(2, {frozenset({0}): 1e-3,
-                                          frozenset({1, 2}): 1e-3})
+        a = _brute.sorkin_with_deviations(2, {frozenset({0}): 1e-3})
+        b = _brute.sorkin_with_deviations(2, {frozenset({1, 2}): 1e-3})
+        both = _brute.sorkin_with_deviations(2, {frozenset({0}): 1e-3,
+                                                 frozenset({1, 2}): 1e-3})
         assert both == pytest.approx(a + b, rel=1e-6)
 
     def test_tuple_keys_accepted(self):
-        assert sorkin_with_deviations(1, {(0,): 0.01}) == pytest.approx(0.01 / 9.0)
+        got = _brute.sorkin_with_deviations(1, {(0,): 0.01})
+        assert got == pytest.approx(0.01 / 9.0)
 
     def test_bad_key(self):
         with pytest.raises(ValueError, match="subset"):
-            sorkin_with_deviations(1, {frozenset({7}): 0.01})
+            _brute.sorkin_with_deviations(1, {frozenset({7}): 0.01})
         with pytest.raises(ValueError, match="subset"):
-            sorkin_with_deviations(1, {frozenset(): 0.01})
+            _brute.sorkin_with_deviations(1, {frozenset(): 0.01})
 
 
 class TestDeviationModel:
@@ -344,6 +327,32 @@ class TestStreamedReduction:
         monkeypatch.setattr(sorkin_module, "_per_combination", fail)
         with pytest.raises(EnumerationBudgetError, match="per-trial cap"):
             deviation_montecarlo(13, DeviationModel(delta=1e-3), 1)
+
+
+class TestPerTrial:
+    """One Monte-Carlo trial against the itertools reference, term by term."""
+
+    @pytest.mark.parametrize("law", DEVIATION_LAWS)
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_single_trial_matches_reference(self, law, m):
+        n = 2 * m + 1
+        combos = [frozenset(c) for k in range(1, n + 1)
+                  for c in itertools.combinations(range(n), k)]
+        for seed in (0, 7, 12345):
+            model = DeviationModel(delta=1e-3, law=law, seed=seed)
+            # trial 0 is row 0 of chunk 0: one draw per combination, size by size
+            rng = np.random.default_rng([seed, 0])
+            if law == "uniform_symmetric":
+                draws = rng.uniform(-1e-3, 1e-3, len(combos))
+            else:
+                draws = rng.normal(0.0, 1e-3, len(combos))
+            deviations = dict(zip(combos, draws.tolist()))
+            terms = _brute.deviation_terms(m, deviations)
+            peak = float(n) ** (2 * m)
+            want = abs(_brute.sorkin_with_deviations(m, deviations))
+            tol = 64 * np.finfo(float).eps * math.fsum(map(abs, terms)) / peak
+            got = sorkin_module._mc_rms(m, model, 1, sorkin_module.DEFAULT_MC_BUDGET)
+            assert abs(got - want) <= tol
 
 
 class TestExponentVariant:
