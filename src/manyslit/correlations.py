@@ -129,7 +129,7 @@ def exclusive_classical(slits: SlitSet, phases: DetectorPhases, *,
         terms = alternation_signs(n) * subset_sums(intensities) ** m
     if not np.isfinite(terms).all():
         raise OverflowError(34, "Numerical result out of range")
-    return SignedCorrelation(value=math.fsum(terms), order=n, m=m)
+    return SignedCorrelation(value=math.fsum(terms.tolist()), order=n, m=m)
 
 
 def central_peak(slits: SlitSet, m: int) -> CorrelationValue:

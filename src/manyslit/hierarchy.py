@@ -29,6 +29,7 @@ from .correlations import (DEFAULT_COMBINATION_BUDGET, alternation_signs,
 from .optics import DetectorPhases, SlitSet, preset_fixed_scan
 
 DEFAULT_SEED = 12345
+# Imaginary residue allowed per unit of one pair term, max(1, max|w|)**(2M)
 _ORACLE_IMAG_TOL = 1e-10
 # Largest batch buffer in entries: the per-detector subset amplitudes of a
 # chunk of phase rows, and the phase draws of one vanishing-check chunk.
@@ -137,16 +138,17 @@ def interference(m: int, slits: SlitSet, phases: DetectorPhases, *,
 
 
 def interference_oracle(m: int, slits: SlitSet, phases: DetectorPhases, *,
-                        budget: int = paths.DEFAULT_PAIR_BUDGET,
-                        chunk_size: int = 4096,
-                        workers: int | None = None) -> InterferenceValue:
+                        budget: int = paths.DEFAULT_PAIR_BUDGET) -> InterferenceValue:
     """Same quantity as ``interference``, from first principles.
 
     Sums ``amp(ket) * conj(amp(bra))`` over the path pairs that are
     off-diagonal and jointly use every slit: the diagonal pairs of full
     support are exactly the exclusive classical term, and pairs missing a
     slit belong to lower orders, so this residue is the interference term.
-    Costs ``N**(2M)`` pair visits; meant for cross-checks at small sizes.
+    Costs ``N**(2M)`` pair visits, streamed through a fixed buffer; meant
+    for cross-checks at small sizes.  The imaginary residue left by the
+    conjugate pairs must stay under ``1e-10 * max(1, max|w_s|) ** (2M)``,
+    the scale of one pair term, or ``ArithmeticError`` is raised.
     """
     _check_m(m, phases)
     n = len(slits)
@@ -154,9 +156,9 @@ def interference_oracle(m: int, slits: SlitSet, phases: DetectorPhases, *,
         return InterferenceValue(value=0.0, m=m, order=n, slits=slits,
                                  phases=phases, method="path_pairs")
     total = paths.pair_sum(slits, phases, exact_support=slits.labels,
-                           include_diagonal=False, budget=budget,
-                           chunk_size=chunk_size, workers=workers)
-    if abs(total.imag) >= _ORACLE_IMAG_TOL:
+                           include_diagonal=False, budget=budget)
+    scale = max(1.0, *map(abs, slits.weights)) ** (2 * m)
+    if abs(total.imag) >= _ORACLE_IMAG_TOL * scale:
         raise ArithmeticError(
             f"pair reduction left an imaginary residue of {total.imag!r}; "
             "the conjugate-pair cancellation did not hold"

@@ -3,15 +3,15 @@
 A path assigns one source slit to each of the M detectors, so an N-slit
 grating offers ``N**M`` paths; its amplitude is the product of the per-leg
 amplitudes ``w_s * exp(i s delta)``.  Probabilities come from pairs of
-paths (ket, bra), and ``pair_sum`` reduces over all ``N**(2M)`` pairs as a
-chunked double loop over the path table, never materializing the pair list.
-This brute-force route is deliberately kept independent of the subset
-inclusion-exclusion route in ``hierarchy`` so each can check the other.
+paths (ket, bra), and ``pair_sum`` visits all ``N**(2M)`` pairs, streaming
+blocks of ket rows through one reused buffer; the pair list is never
+materialized.  This brute-force route is deliberately kept independent of
+the subset inclusion-exclusion route in ``hierarchy`` so each can check the
+other.
 """
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterable
 
 import numpy as np
@@ -21,9 +21,10 @@ from .optics import DetectorPhases, SlitSet
 
 DEFAULT_PATH_BUDGET = 10_000_000
 DEFAULT_PAIR_BUDGET = 1_000_000_000
-# Upper bound on complex buffer entries per chunk; keeps peak memory modest.
-_CHUNK_ENTRY_CAP = 1_000_000
-THREADS_ENV = "MANYSLIT_THREADS"
+# Pairs are reduced in blocks of whole ket rows of about this many entries
+# (512 KB complex, with a 256 KB int64 and a 32 KB bool buffer beside it),
+# so the buffers stay in cache and are reused; a wider row is one block.
+_BLOCK_ENTRIES = 1 << 15
 
 # Support filters pack slit membership into an int64 bitmask, one bit per
 # slit of the grating, so they only work for gratings this narrow.
@@ -88,62 +89,43 @@ def _support_mask(slits: SlitSet, support: Iterable[int]) -> int:
     return mask
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        env = os.environ.get(THREADS_ENV, "").strip()
-        workers = int(env) if env else 1
-    if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
-    return workers
-
-
 def pair_sum(slits: SlitSet, phases: DetectorPhases, *,
              exact_support: Iterable[int] | None = None,
              include_diagonal: bool = True,
-             budget: int = DEFAULT_PAIR_BUDGET,
-             chunk_size: int = 4096,
-             workers: int | None = None) -> complex:
+             budget: int = DEFAULT_PAIR_BUDGET) -> complex:
     """Sum of ``amp(ket) * conj(amp(bra))`` over path pairs, streamed.
 
     With ``exact_support`` the sum keeps only pairs whose joint support is
     exactly that slit set; ``include_diagonal=False`` drops the ket == bra
-    pairs.  The reduction runs chunk by chunk over the ket index, optionally
-    fanned out over ``workers`` threads (default from the MANYSLIT_THREADS
-    environment variable); the chunk partials are recombined in a fixed
-    order, so the result does not depend on thread scheduling.
+    pairs.  Every pair is visited: each block of ket rows is filled into one
+    reused buffer of about ``_BLOCK_ENTRIES`` entries, filtered in place,
+    summed, and the block partials are combined in order with ``fsum``.
+    So the pair buffers take under 1 MB whatever ``N**(2M)`` is (one row
+    if a row of ``N**M`` entries is wider); only the path tables grow.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
     total_paths = path_count(slits, phases.m)
     _check_budget("pair", slits, phases.m, total_paths ** 2, budget)
     amps = amplitude_table(slits, phases)
     conj = np.conj(amps)
-
-    target = None
-    masks = None
+    rows = max(1, _BLOCK_ENTRIES // total_paths)
+    block = np.empty((min(rows, total_paths), total_paths), dtype=np.complex128)
     if exact_support is not None:
         target = np.int64(_support_mask(slits, exact_support))
         masks = support_table(slits, phases.m)
+        cover = np.empty(block.shape, dtype=np.int64)
+        drop = np.empty(block.shape, dtype=bool)
 
-    rows = max(1, min(chunk_size, _CHUNK_ENTRY_CAP // max(1, total_paths)))
-    starts = range(0, total_paths, rows)
-
-    def reduce_chunk(start: int) -> complex:
+    partials = []
+    for start in range(0, total_paths, rows):
         stop = min(start + rows, total_paths)
-        block = amps[start:stop, None] * conj[None, :]
-        if masks is not None:
-            keep = np.bitwise_or(masks[start:stop, None], masks[None, :]) == target
-            block = np.where(keep, block, 0.0)
-        return complex(block.sum())
-
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1:
-        partials = [reduce_chunk(start) for start in starts]
-    else:
-        # imported here: it pulls in logging, which no serial run needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            partials = list(pool.map(reduce_chunk, starts))
+        b = block[:stop - start]
+        np.multiply(amps[start:stop, None], conj[None, :], out=b)
+        if exact_support is not None:
+            c, d = cover[:stop - start], drop[:stop - start]
+            np.bitwise_or(masks[start:stop, None], masks[None, :], out=c)
+            np.not_equal(c, target, out=d)
+            np.copyto(b, 0.0, where=d)
+        partials.append(complex(b.sum()))
 
     total = complex(math.fsum(p.real for p in partials),
                     math.fsum(p.imag for p in partials))

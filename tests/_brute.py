@@ -51,6 +51,20 @@ def interference_pairs(labels, phases, weights=None):
     return total
 
 
+def support_pairs(labels, phases, weights, support, include_diagonal=True):
+    """Pairs whose joint support is exactly ``support``, with or without ket == bra."""
+    support = set(support)
+    total = complex(0.0)
+    for ket in all_paths(labels, len(phases)):
+        for bra in all_paths(labels, len(phases)):
+            if ket == bra and not include_diagonal:
+                continue
+            if set(ket) | set(bra) != support:
+                continue
+            total += amp(ket, phases, weights) * amp(bra, phases, weights).conjugate()
+    return total
+
+
 def exclusive_pairs(labels, phases, weights=None):
     """Diagonal pairs whose path touches every slit."""
     weights = weights or {s: 1.0 for s in labels}

@@ -400,9 +400,9 @@ class TestParser:
 
 
 def test_import_leaves_out_the_thread_pool():
-    # every CLI start pays for its imports; the pool is for pair_sum's
-    # multi-worker runs only, and concurrent.futures brings in logging;
-    # decimal serves only the exponent variant
+    # every CLI start pays for its imports; the package runs no thread
+    # pool, and concurrent.futures would bring in logging; decimal serves
+    # only the exponent variant
     code = ("import sys, manyslit, manyslit.cli; print(sorted("
             "{'concurrent.futures', 'logging', 'decimal'} & set(sys.modules)))")
     env = dict(os.environ)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from manyslit.correlations import (central_peak, classical_correlation,
-                                   exclusive_classical, grating_amplitude,
-                                   quantum_correlation)
+from manyslit.correlations import (alternation_signs, central_peak,
+                                   classical_correlation, exclusive_classical,
+                                   grating_amplitude, quantum_correlation,
+                                   subset_sums)
 from manyslit.errors import EnumerationBudgetError
 from manyslit.optics import DetectorPhases, SlitSet
 from manyslit.paths import diagonal_sum, pair_sum
@@ -130,6 +131,19 @@ class TestExclusiveClassical:
                 parts.append(exclusive_classical(s.subset(combo), ph).value)
         assert math.fsum(parts) == pytest.approx(
             classical_correlation(s, ph).value, rel=1e-12)
+
+    def test_fsum_of_list_equals_fsum_of_array(self):
+        # fsum is correctly rounded and float64 -> float is exact, so feeding
+        # it a list instead of the array's numpy scalars keeps every bit
+        rng = np.random.default_rng(31)
+        for n in range(1, 13):
+            weights = rng.uniform(0.2, 1.8, n) * np.exp(1j * rng.uniform(0, 6.3, n))
+            s = SlitSet(tuple(range(n)), tuple(weights.tolist()))
+            m = int(rng.integers(1, 2 * n + 2))
+            intensities = np.array([abs(w) ** 2 for w in s.weights])
+            terms = alternation_signs(n) * subset_sums(intensities) ** m
+            got = exclusive_classical(s, phases_of(*[0.0] * m)).value
+            assert got == math.fsum(terms)
 
     def test_subset_budget(self):
         # 21 slits need 2**21 - 1 subsets, over the default budget of 2**20

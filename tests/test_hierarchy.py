@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from manyslit import correlations, hierarchy
+from manyslit import correlations, hierarchy, paths
 from manyslit.correlations import (central_peak, exclusive_classical,
                                    quantum_correlation)
 from manyslit.errors import EnumerationBudgetError
@@ -288,14 +289,51 @@ class TestOracle:
             b = interference_oracle(2, s, ph).value
             assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
 
-    def test_chunk_and_worker_independence(self):
+    def test_chunk_and_worker_independence(self, monkeypatch):
+        # the block size regroups the partial sums, nothing else
         s = SlitSet.contiguous(3)
         ph = phases_of(1.3, 4.1)
         reference = interference_oracle(2, s, ph).value
         scale = central_peak(s, 2).value
-        for kwargs in ({"chunk_size": 1}, {"chunk_size": 5}, {"workers": 3}):
-            got = interference_oracle(2, s, ph, **kwargs).value
+        for entries in (1, 5 * 9, 9 * 9):
+            monkeypatch.setattr(paths, "_BLOCK_ENTRIES", entries)
+            got = interference_oracle(2, s, ph).value
             assert abs(got - reference) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("weight", [100.0, 1000.0])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_agrees_with_subset_route_under_large_weights(self, m, weight):
+        # pair terms scale as |w|**(2M), and so does their imaginary roundoff
+        s = SlitSet((0, 1, 2), (weight,) * 3)
+        peak = central_peak(s, m).value
+        rng = np.random.default_rng(60 + m)
+        for _ in range(5):
+            ph = random_phases(rng, m)
+            a = interference(m, s, ph).value
+            b = interference_oracle(m, s, ph).value
+            assert abs(a - b) <= 1e-9 * peak
+
+    def test_planted_imaginary_residue_raises(self, monkeypatch):
+        s = SlitSet((0, 1, 2), (100.0,) * 3)
+        scale = 100.0 ** 4
+        honest = paths.pair_sum
+        monkeypatch.setattr(paths, "pair_sum",
+                            lambda *a, **k: honest(*a, **k) + 1e-6j * scale)
+        with pytest.raises(ArithmeticError, match="imaginary residue"):
+            interference_oracle(2, s, phases_of(0.3, 1.7))
+
+    def test_streamed_memory_peak(self):
+        # the pair buffers are one reused block, not N**(2M) entries
+        ph = phases_of(0.4, 1.1, 2.9, 3.3, 5.0)
+        s = SlitSet.contiguous(6)
+        interference_oracle(5, s, ph)  # first-call set-up inside numpy
+        tracemalloc.start()
+        try:
+            interference_oracle(5, s, ph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_pair_budget(self):
         with pytest.raises(EnumerationBudgetError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
+from manyslit import paths
 from manyslit.errors import EnumerationBudgetError
 from manyslit.optics import DetectorPhases, SlitSet
 from manyslit.paths import (amplitude_table, diagonal_sum, pair_sum,
@@ -139,47 +140,52 @@ class TestPairs:
             count = diagonal_sum(s, ph, exact_support=s.labels)
             assert count == pytest.approx(_brute.surjections(n, m), rel=1e-12)
 
-    def test_partition_independence(self):
+    def test_partition_independence(self, monkeypatch):
         s = SlitSet.contiguous(3)
         ph = phases_of(1.1, 5.2)
         reference = pair_sum(s, ph, exact_support=s.labels, include_diagonal=False)
-        for chunk in (1, 2, 7, 4096):
-            got = pair_sum(s, ph, exact_support=s.labels,
-                           include_diagonal=False, chunk_size=chunk)
+        for rows in (1, 2, 7, 4096):
+            monkeypatch.setattr(paths, "_BLOCK_ENTRIES", rows * 9)
+            got = pair_sum(s, ph, exact_support=s.labels, include_diagonal=False)
             assert got.real == pytest.approx(reference.real, rel=1e-12, abs=1e-12)
-
-    def test_worker_independence(self):
-        s = SlitSet.contiguous(4)
-        ph = phases_of(0.8, 2.7)
-        lone = pair_sum(s, ph, chunk_size=3, workers=1)
-        pooled = pair_sum(s, ph, chunk_size=3, workers=4)
-        assert pooled.real == pytest.approx(lone.real, rel=1e-12, abs=1e-12)
-
-    def test_worker_count_bit_identical(self):
-        # chunk partials are recombined in chunk order, whatever thread ran them
-        s = SlitSet((0, 2, 3, 7), (1.0, 0.6 - 0.8j, 1.3j, -0.4))
-        ph = phases_of(0.8, 2.7)
-        for chunk in (1, 3, 7):
-            lone = pair_sum(s, ph, chunk_size=chunk, workers=1)
-            assert pair_sum(s, ph, chunk_size=chunk, workers=4) == lone
-
-    def test_thread_env_var(self, monkeypatch):
-        monkeypatch.setenv("MANYSLIT_THREADS", "3")
-        s = SlitSet.contiguous(3)
-        ph = phases_of(0.5, 1.5)
-        got = pair_sum(s, ph, chunk_size=2)
-        monkeypatch.delenv("MANYSLIT_THREADS")
-        assert got.real == pytest.approx(pair_sum(s, ph).real, rel=1e-12)
 
     def test_pair_budget(self):
         with pytest.raises(EnumerationBudgetError) as err:
             pair_sum(SlitSet.contiguous(4), phases_of(0.0, 0.0), budget=100)
         assert err.value.required == 256
 
-    def test_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            pair_sum(SlitSet.contiguous(2), phases_of(0.0), workers=0)
-
     def test_support_filter_rejects_foreign_label(self):
         with pytest.raises(ValueError, match="not a slit"):
             pair_sum(SlitSet.contiguous(2), phases_of(0.0), exact_support=(0, 9))
+
+
+class TestSupportFilter:
+    """Strict-subset supports against plain loops, across block boundaries."""
+
+    SLITS = SlitSet((0, 2, 3, 7), (1.0, 0.6 - 0.8j, 1.3j, -0.4))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("support", [(0, 7), (2, 3, 7), (0, 2, 3, 7)])
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    def test_matches_brute_for_every_block_size(self, monkeypatch, m, support,
+                                                include_diagonal):
+        s = self.SLITS
+        ph = DetectorPhases((0.8, 2.7, 4.6)[:m])
+        want = _brute.support_pairs(s.labels, ph.phases, s.weight_map(), support,
+                                    include_diagonal)
+        width = len(s) ** m
+        # one row (also when the block is narrower than a row), three rows
+        # with a partial last block, and every row in one block
+        for entries in (1, width, 3 * width, width * width):
+            monkeypatch.setattr(paths, "_BLOCK_ENTRIES", entries)
+            got = pair_sum(s, ph, exact_support=support,
+                           include_diagonal=include_diagonal)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), entries
+
+    def test_unfiltered_sum_across_block_boundaries(self, monkeypatch):
+        s = self.SLITS
+        ph = phases_of(0.8, 2.7)
+        want = _brute.pair_total(s.labels, ph.phases, s.weight_map())
+        for entries in (1, 3 * 16, 256):
+            monkeypatch.setattr(paths, "_BLOCK_ENTRIES", entries)
+            assert pair_sum(s, ph) == pytest.approx(want, rel=1e-12, abs=1e-12)
