@@ -145,10 +145,14 @@ def interference_oracle(m: int, slits: SlitSet, phases: DetectorPhases, *,
     off-diagonal and jointly use every slit: the diagonal pairs of full
     support are exactly the exclusive classical term, and pairs missing a
     slit belong to lower orders, so this residue is the interference term.
-    Costs ``N**(2M)`` pair visits, streamed through a fixed buffer; meant
-    for cross-checks at small sizes.  The imaginary residue left by the
-    conjugate pairs must stay under ``1e-10 * max(1, max|w_s|) ** (2M)``,
-    the scale of one pair term, or ``ArithmeticError`` is raised.
+    At N <= 2M it costs ``N**(2M)`` pair visits, streamed through a fixed
+    buffer; meant for cross-checks at small sizes.  At N >= 2M + 1 no pair
+    covers every slit, so the value is exactly 0.0 and no pair is visited
+    (the pair budget and the mask-width limit still refuse first); the
+    oracle therefore checks the subset route only at N <= 2M.  The
+    imaginary residue left by the conjugate pairs must stay under
+    ``1e-10 * max(1, max|w_s|) ** (2M)``, the scale of one pair term, or
+    ``ArithmeticError`` is raised.
     """
     _check_m(m, phases)
     n = len(slits)

@@ -5,9 +5,11 @@ grating offers ``N**M`` paths; its amplitude is the product of the per-leg
 amplitudes ``w_s * exp(i s delta)``.  Probabilities come from pairs of
 paths (ket, bra), and ``pair_sum`` visits all ``N**(2M)`` pairs, streaming
 blocks of ket rows through one reused buffer; the pair list is never
-materialized.  This brute-force route is deliberately kept independent of
-the subset inclusion-exclusion route in ``hierarchy`` so each can check the
-other.
+materialized.  The one shortcut is a support count: a pair touches at most
+2M slits (a diagonal pair at most M), so a reduction restricted to a wider
+support is exactly zero and visits no pair.  This brute-force route is
+deliberately kept independent of the subset inclusion-exclusion route in
+``hierarchy`` so each can check the other.
 """
 from __future__ import annotations
 
@@ -60,6 +62,13 @@ def amplitude_table(slits: SlitSet, phases: DetectorPhases, *,
     return table
 
 
+def _check_mask_width(slits: SlitSet) -> None:
+    if len(slits) > MAX_MASK_SLITS:
+        raise ValueError(
+            f"support masks handle at most {MAX_MASK_SLITS} slits, got {len(slits)}"
+        )
+
+
 def support_table(slits: SlitSet, m: int, *,
                   budget: int = DEFAULT_PATH_BUDGET) -> np.ndarray:
     """Per-path slit-usage bitmasks (bit j = j-th slit of the grating used).
@@ -68,10 +77,7 @@ def support_table(slits: SlitSet, m: int, *,
     """
     total = path_count(slits, m)
     _check_budget("path", slits, m, total, budget)
-    if len(slits) > MAX_MASK_SLITS:
-        raise ValueError(
-            f"support masks handle at most {MAX_MASK_SLITS} slits, got {len(slits)}"
-        )
+    _check_mask_width(slits)
     bits = np.left_shift(np.int64(1), np.arange(len(slits), dtype=np.int64))
     table = np.zeros(1, dtype=np.int64)
     for _ in range(m):
@@ -89,6 +95,30 @@ def _support_mask(slits: SlitSet, support: Iterable[int]) -> int:
     return mask
 
 
+def _checked_target(slits: SlitSet, m: int, exact_support: Iterable[int] | None,
+                    budget: int) -> int | None:
+    """Refuse as a full reduction would, in its order; return the support bitmask.
+
+    Callers apply their support-count bound only after this, so a provably
+    zero reduction is still refused exactly when a full one would be.
+    """
+    total_paths = path_count(slits, m)
+    _check_budget("pair", slits, m, total_paths ** 2, budget)
+    _check_budget("path", slits, m, total_paths, DEFAULT_PATH_BUDGET)
+    if exact_support is None:
+        return None
+    target = _support_mask(slits, exact_support)
+    _check_mask_width(slits)
+    return target
+
+
+def _diagonal(amps: np.ndarray, masks: np.ndarray | None, target: int | None) -> float:
+    intensity = np.abs(amps) ** 2
+    if target is not None:
+        intensity = intensity[masks == target]
+    return float(math.fsum(intensity.tolist()))
+
+
 def pair_sum(slits: SlitSet, phases: DetectorPhases, *,
              exact_support: Iterable[int] | None = None,
              include_diagonal: bool = True,
@@ -97,20 +127,25 @@ def pair_sum(slits: SlitSet, phases: DetectorPhases, *,
 
     With ``exact_support`` the sum keeps only pairs whose joint support is
     exactly that slit set; ``include_diagonal=False`` drops the ket == bra
-    pairs.  Every pair is visited: each block of ket rows is filled into one
-    reused buffer of about ``_BLOCK_ENTRIES`` entries, filtered in place,
-    summed, and the block partials are combined in order with ``fsum``.
-    So the pair buffers take under 1 MB whatever ``N**(2M)`` is (one row
-    if a row of ``N**M`` entries is wider); only the path tables grow.
+    pairs.  A ket and a bra of M legs each touch at most 2M slits, so a
+    support of more than 2M distinct slits is reached by no pair: the sum is
+    exactly ``0j`` and neither a path table nor a pair is built.  Otherwise
+    every pair is visited: each block of ket rows is filled into one reused
+    buffer of about ``_BLOCK_ENTRIES`` entries, filtered in place, summed,
+    and the block partials are combined in order with ``fsum``.  So the pair
+    buffers take under 1 MB whatever ``N**(2M)`` is (one row if a row of
+    ``N**M`` entries is wider); only the path tables grow.
     """
-    total_paths = path_count(slits, phases.m)
-    _check_budget("pair", slits, phases.m, total_paths ** 2, budget)
+    target = _checked_target(slits, phases.m, exact_support, budget)
+    if target is not None and target.bit_count() > 2 * phases.m:
+        return 0j
     amps = amplitude_table(slits, phases)
     conj = np.conj(amps)
+    total_paths = len(amps)
     rows = max(1, _BLOCK_ENTRIES // total_paths)
     block = np.empty((min(rows, total_paths), total_paths), dtype=np.complex128)
-    if exact_support is not None:
-        target = np.int64(_support_mask(slits, exact_support))
+    masks = None
+    if target is not None:
         masks = support_table(slits, phases.m)
         cover = np.empty(block.shape, dtype=np.int64)
         drop = np.empty(block.shape, dtype=bool)
@@ -120,7 +155,7 @@ def pair_sum(slits: SlitSet, phases: DetectorPhases, *,
         stop = min(start + rows, total_paths)
         b = block[:stop - start]
         np.multiply(amps[start:stop, None], conj[None, :], out=b)
-        if exact_support is not None:
+        if target is not None:
             c, d = cover[:stop - start], drop[:stop - start]
             np.bitwise_or(masks[start:stop, None], masks[None, :], out=c)
             np.not_equal(c, target, out=d)
@@ -130,19 +165,20 @@ def pair_sum(slits: SlitSet, phases: DetectorPhases, *,
     total = complex(math.fsum(p.real for p in partials),
                     math.fsum(p.imag for p in partials))
     if not include_diagonal:
-        total -= complex(diagonal_sum(slits, phases, exact_support=exact_support,
-                                      budget=budget))
+        total -= complex(_diagonal(amps, masks, target))
     return total
 
 
 def diagonal_sum(slits: SlitSet, phases: DetectorPhases, *,
                  exact_support: Iterable[int] | None = None,
                  budget: int = DEFAULT_PAIR_BUDGET) -> float:
-    """Sum of ``|amp|**2`` over the diagonal (ket == bra) pairs only."""
-    total_paths = path_count(slits, phases.m)
-    _check_budget("pair", slits, phases.m, total_paths ** 2, budget)
-    intensity = np.abs(amplitude_table(slits, phases)) ** 2
-    if exact_support is not None:
-        target = np.int64(_support_mask(slits, exact_support))
-        intensity = intensity[support_table(slits, phases.m) == target]
-    return float(math.fsum(intensity.tolist()))
+    """Sum of ``|amp|**2`` over the diagonal (ket == bra) pairs only.
+
+    A path of M legs touches at most M slits, so a support of more than M
+    distinct slits gives exactly ``0.0`` without building a path table.
+    """
+    target = _checked_target(slits, phases.m, exact_support, budget)
+    if target is not None and target.bit_count() > phases.m:
+        return 0.0
+    masks = None if target is None else support_table(slits, phases.m)
+    return _diagonal(amplitude_table(slits, phases), masks, target)

@@ -186,3 +186,56 @@ def glynn_top_order(labels, phases, weights):
         terms.append(term)
     norm = 2.0 ** (1 - n)
     return norm * math.fsum(terms), norm * math.fsum(map(abs, terms))
+
+
+def fixed_scan_closed(m, n, delta):
+    """Fixed-scan I(M, N; delta) on N contiguous unit slits, in closed form.
+
+    The M - 1 parked detectors see A(T) = |T|, so summing them out leaves
+    ``(alpha - beta) N + beta sin^2(N delta/2) / sin^2(delta/2) - C`` with
+    integer ``alpha = g(1)``, ``beta = g(2)``,
+    ``g(u) = sum_k (-1)**(N-k) C(N-u, k-u) k**(2(M-1))`` and the surjection
+    count ``C = sum_k (-1)**(N-k) C(N, k) k**M``.  At delta = 0 the Fejer
+    factor is N**2.
+    """
+    def g(u):
+        return sum((-1) ** (n - k) * math.comb(n - u, k - u) * k ** (2 * (m - 1))
+                   for k in range(u, n + 1))
+
+    alpha, beta = g(1), g(2)
+    c = sum((-1) ** (n - k) * math.comb(n, k) * k ** m for k in range(n + 1))
+    half = math.sin(delta / 2)
+    fejer = float(n * n) if half == 0.0 else (math.sin(n * delta / 2) / half) ** 2
+    return float((alpha - beta) * n) + float(beta) * fejer - float(c)
+
+
+def fixed_scan_top_order(m, delta):
+    """The closed form at N = 2M: ``(2M-2)! [sin^2(M delta)/sin^2(delta/2) - 2M]``."""
+    half = math.sin(delta / 2)
+    ratio = float(4 * m * m) if half == 0.0 else (math.sin(m * delta) / half) ** 2
+    return math.factorial(2 * m - 2) * (ratio - 2 * m)
+
+
+def glynn_top_order_matrix(labels, phases, weights, chunk=1 << 12):
+    """``glynn_top_order`` as matrix products; returns (value, scale).
+
+    The sign vectors (``d_0 = 1``, the other N - 1 signs taken from the bits
+    of a counter) come ``chunk`` at a time as a +-1 matrix, which multiplies
+    the N x M matrix of legs ``x_{j,s}``; each row's ``|.|**2`` product times
+    ``prod_s d_s`` is one term, and the terms are added by ``fsum``.
+    """
+    n = len(labels)
+    if n != 2 * len(phases):
+        raise ValueError("Glynn's route covers the top order N = 2M only")
+    legs = np.array([[weights[s] * cmath.exp(1j * s * delta) for delta in phases]
+                     for s in labels])
+    terms = []
+    for start in range(0, 1 << (n - 1), chunk):
+        counter = np.arange(start, min(start + chunk, 1 << (n - 1)))
+        bits = (counter[:, None] >> np.arange(n - 1)) & 1
+        signs = np.ones((len(counter), n))
+        signs[:, 1:] -= 2.0 * bits
+        products = np.prod(np.abs(signs @ legs) ** 2, axis=1)
+        terms.extend((np.prod(signs, axis=1) * products).tolist())
+    norm = 2.0 ** (1 - n)
+    return norm * math.fsum(terms), norm * math.fsum(map(abs, terms))

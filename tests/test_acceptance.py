@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _brute
 from manyslit.cli import EXIT_OK, main
 from manyslit.correlations import central_peak, exclusive_classical
 from manyslit.hierarchy import curve, interference, interference_oracle
@@ -187,3 +188,14 @@ def test_criterion_10_figure_regeneration(tmp_path):
         left = curve(2, n, "opposite_scan", [-0.9])[0][1]
         right = curve(2, n, "opposite_scan", [0.9])[0][1]
         assert left == pytest.approx(right, rel=1e-12)
+
+
+def test_fixed_scan_top_order_closed_form():
+    # beside criterion 10: I(M, 2M; delta) = (2M-2)! [sin^2(M delta)/sin^2(delta/2) - 2M]
+    # on the fixed scan, per unit of the peak N**(2M); worst ratio seen 3.7e-15
+    deltas = (0.0, 0.37, 1.9, math.pi, 4.4)
+    for m in range(1, 10):
+        n = 2 * m
+        for delta, got in curve(m, n, "fixed_scan", deltas, normalize=False):
+            want = _brute.fixed_scan_top_order(m, delta)
+            assert abs(got - want) <= 1e-13 * n ** (2 * m), (m, delta)

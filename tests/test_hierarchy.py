@@ -29,6 +29,15 @@ def random_phases(rng, m):
     return DetectorPhases(tuple(rng.uniform(0.0, 2.0 * math.pi, size=m)))
 
 
+def random_top_order_grating(rng, m):
+    """2M slits at random labels below 30 with random complex weights, and M phases."""
+    labels = sorted(rng.choice(30, size=2 * m, replace=False).tolist())
+    weights = [cmath.rect(r, t) for r, t in zip(
+        rng.uniform(0.5, 1.5, 2 * m).tolist(),
+        rng.uniform(-math.pi, math.pi, 2 * m).tolist())]
+    return SlitSet(tuple(labels), tuple(weights)), random_phases(rng, m)
+
+
 class TestInterference:
     def test_third_order_single_particle_is_null(self):
         s = SlitSet.contiguous(3)
@@ -269,6 +278,7 @@ class TestOracle:
         for _ in range(20):
             got = interference_oracle(1, s, random_phases(rng, 1)).value
             assert abs(got) < 1e-12
+            assert got == 0.0
 
     def test_fifth_order_null(self):
         rng = np.random.default_rng(14)
@@ -276,6 +286,7 @@ class TestOracle:
         for _ in range(5):
             got = interference_oracle(2, s, random_phases(rng, 2)).value
             assert abs(got) < 1e-9
+            assert got == 0.0
 
     def test_single_slit_exact_zero(self):
         assert interference_oracle(2, SlitSet.contiguous(1), phases_of(0.1, 0.2)).value == 0.0
@@ -339,6 +350,13 @@ class TestOracle:
         with pytest.raises(EnumerationBudgetError):
             interference_oracle(2, SlitSet.contiguous(4), phases_of(0.0, 0.0), budget=10)
 
+    def test_provable_zeros_are_still_refused(self):
+        # N >= 2M + 1 gives exactly 0.0, but only after the refusals of a full run
+        with pytest.raises(EnumerationBudgetError):
+            interference_oracle(10, SlitSet.contiguous(25), phases_of(*[0.1] * 10))
+        with pytest.raises(ValueError, match="at most 62 slits"):
+            interference_oracle(1, SlitSet.contiguous(63), phases_of(0.1))
+
 
 class TestTopOrderPermanent:
     """At N = 2M the term is a permanent; Glynn's formula is a third route."""
@@ -347,16 +365,68 @@ class TestTopOrderPermanent:
     def test_matches_glynn(self, m):
         rng = np.random.default_rng(100 + m)
         for _ in range(3):
-            labels = sorted(rng.choice(30, size=2 * m, replace=False).tolist())
-            weights = [cmath.rect(r, t) for r, t in zip(
-                rng.uniform(0.5, 1.5, 2 * m).tolist(),
-                rng.uniform(-math.pi, math.pi, 2 * m).tolist())]
-            slits = SlitSet(tuple(labels), tuple(weights))
-            ph = random_phases(rng, m)
+            slits, ph = random_top_order_grating(rng, m)
             want, scale = _brute.glynn_top_order(slits.labels, ph.phases,
                                                  slits.weight_map())
             got = interference(m, slits, ph).value
             assert abs(got - want) <= 1e-12 * scale
+
+
+class TestTopOrderPermanentMatrix:
+    """Glynn's formula as +-1 sign matrices times the legs, up to M = 9.
+
+    About 0.05 s per draw at M = 9 for the permanent, next to about 0.1 s
+    for ``interference`` itself (one core of a 2-core Xeon).
+    """
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_loop_form(self, m):
+        rng = np.random.default_rng(110 + m)
+        slits, ph = random_top_order_grating(rng, m)
+        want, scale = _brute.glynn_top_order(slits.labels, ph.phases, slits.weight_map())
+        got, got_scale = _brute.glynn_top_order_matrix(slits.labels, ph.phases,
+                                                       slits.weight_map(), chunk=3)
+        assert abs(got - want) <= 1e-12 * scale
+        assert got_scale == pytest.approx(scale, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [7, 8, 9])
+    def test_matches_interference(self, m):
+        rng = np.random.default_rng(120 + m)
+        for _ in range(2):
+            slits, ph = random_top_order_grating(rng, m)
+            want, scale = _brute.glynn_top_order_matrix(slits.labels, ph.phases,
+                                                        slits.weight_map())
+            got = interference(m, slits, ph).value
+            assert abs(got - want) <= 1e-12 * scale
+
+
+class TestFixedScanClosedForm:
+    """Summing out the parked detectors gives the fixed scan in closed form."""
+
+    DELTAS = (0.0, 0.37, 1.9, math.pi, 4.4, 6.0)
+
+    def test_matches_kernel(self):
+        # tolerance per unit of the peak N**(2M); the worst ratio seen is 6.6e-16
+        for m in range(1, 8):
+            for n in range(1, 2 * m + 3):
+                rows = curve(m, n, "fixed_scan", self.DELTAS, normalize=False)
+                for delta, got in rows:
+                    want = _brute.fixed_scan_closed(m, n, delta)
+                    assert abs(got - want) <= 1e-13 * n ** (2 * m), (m, n, delta)
+                    if n >= 2 * m + 1:
+                        assert want == 0.0
+
+    def test_top_order_form(self):
+        for m in range(1, 8):
+            for delta in self.DELTAS:
+                assert (_brute.fixed_scan_top_order(m, delta)
+                        == pytest.approx(_brute.fixed_scan_closed(m, 2 * m, delta),
+                                         rel=1e-13, abs=1e-13 * (2 * m) ** (2 * m)))
+
+    def test_matches_pinned_golden_points(self):
+        # curve_m2_n4 is 0.09375 at delta = 0, curve_m2_n3 is 36/81
+        assert _brute.fixed_scan_closed(2, 4, 0.0) / 4 ** 4 == 0.09375
+        assert _brute.fixed_scan_closed(2, 3, 0.0) / 3 ** 4 == 36 / 81
 
 
 class TestVanishingCheck:

@@ -189,3 +189,96 @@ class TestSupportFilter:
         for entries in (1, 3 * 16, 256):
             monkeypatch.setattr(paths, "_BLOCK_ENTRIES", entries)
             assert pair_sum(s, ph) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _refuse_table(*args, **kwargs):
+    raise AssertionError("a path table was built")
+
+
+class TestSupportBound:
+    """A pair of M-leg paths touches at most 2M slits, a diagonal pair at most M.
+
+    The plain loops of ``_brute.support_pairs`` justify the bound without
+    using it; ``pair_sum`` and ``diagonal_sum`` must then skip such supports
+    without building a path table, after every refusal a full run would make.
+    """
+
+    LABELS = (0, 2, 3, 7, 9, 11, 12, 15)
+
+    def gratings(self, m):
+        n = 2 * m + 2
+        rng = np.random.default_rng(80 + m)
+        weights = [complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(
+            rng.uniform(0.5, 1.5, n).tolist(), rng.uniform(-math.pi, math.pi, n).tolist())]
+        phases = tuple(rng.uniform(0.0, 2.0 * math.pi, m).tolist())
+        # unit slits at zero phase make every pair term 1, so the sum counts pairs
+        return [(SlitSet.contiguous(n), (0.0,) * m),
+                (SlitSet(self.LABELS[:n], tuple(weights)), phases)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_brute_loops_find_no_pair_beyond_2m(self, m):
+        (unit, zero), weighted = self.gratings(m)
+        # 2M slits are reached only when the 2M legs take one slit each
+        count = _brute.support_pairs(unit.labels, zero, unit.weight_map(),
+                                     unit.labels[:2 * m])
+        assert count == math.factorial(2 * m)
+        for s, ph in ((unit, zero), weighted):
+            weights = s.weight_map()
+            for size in (2 * m + 1, 2 * m + 2):
+                support = s.labels[-size:]
+                assert _brute.support_pairs(s.labels, ph, weights, support) == 0j
+                got = pair_sum(s, DetectorPhases(ph), exact_support=support)
+                assert got == 0j and isinstance(got, complex)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_no_path_table_above_the_bound(self, monkeypatch, m):
+        monkeypatch.setattr(paths, "amplitude_table", _refuse_table)
+        monkeypatch.setattr(paths, "support_table", _refuse_table)
+        for s, ph in self.gratings(m):
+            ph = DetectorPhases(ph)
+            for size in (2 * m + 1, 2 * m + 2):
+                support = s.labels[:size]
+                for diagonal in (True, False):
+                    got = pair_sum(s, ph, exact_support=support,
+                                   include_diagonal=diagonal)
+                    assert got == 0j and isinstance(got, complex)
+            for size in (m + 1, 2 * m + 2):
+                got = diagonal_sum(s, ph, exact_support=s.labels[:size])
+                assert got == 0.0 and isinstance(got, float)
+            # at the bounds themselves some pair can reach the support
+            with pytest.raises(AssertionError, match="path table"):
+                pair_sum(s, ph, exact_support=s.labels[:2 * m])
+            with pytest.raises(AssertionError, match="path table"):
+                diagonal_sum(s, ph, exact_support=s.labels[:m])
+
+    def test_repeated_label_counts_once(self):
+        s = SlitSet((0, 1, 2), (1.0, 0.6 - 0.8j, 1.3j))
+        # (0, 0, 1) is two slits: within 2M for M = 1 and within M for M = 2
+        ph = phases_of(0.8)
+        want = _brute.support_pairs(s.labels, ph.phases, s.weight_map(), (0, 1))
+        got = pair_sum(s, ph, exact_support=(0, 0, 1))
+        assert want != 0j
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert got == pair_sum(s, ph, exact_support=(0, 1))
+        ph = phases_of(0.8, 2.7)
+        got = diagonal_sum(s, ph, exact_support=(0, 0, 1))
+        assert got > 0.0
+        assert got == diagonal_sum(s, ph, exact_support=(0, 1))
+
+    def test_refusals_come_before_the_bound(self):
+        # each input below is provably zero, and each is still refused as before
+        s = SlitSet.contiguous(5)
+        two = phases_of(0.0, 0.0)
+        for reduce in (pair_sum, diagonal_sum):
+            with pytest.raises(EnumerationBudgetError) as err:
+                reduce(s, two, exact_support=s.labels, budget=100)
+            assert err.value.required == 625
+            # the budget is checked before the labels
+            with pytest.raises(EnumerationBudgetError):
+                reduce(s, two, exact_support=(0, 1, 2, 3, 9), budget=100)
+            with pytest.raises(ValueError, match="not a slit"):
+                reduce(s, phases_of(0.0), exact_support=(0, 1, 2, 9))
+            for n in (63, 64):
+                wide = SlitSet.contiguous(n)
+                with pytest.raises(ValueError, match="at most 62 slits"):
+                    reduce(wide, phases_of(0.0), exact_support=wide.labels)
